@@ -11,47 +11,33 @@
 //! 3. **scheduler** — a full cluster run (queueing, placement, per-node
 //!    event loops) under the untuned SNM policy.
 //!
-//! Every kernel is timed in up to three arms of identical shape: the
-//! *baseline* arm drives the frozen pre-refactor executor
+//! Every kernel is timed in two arms of identical shape: the *baseline*
+//! arm drives the frozen pre-refactor executor
 //! (`ecost_mapreduce::reference`: fresh allocating simulator per point),
-//! the *optimized* arm drives the pooled [`EvalEngine`] with scalar rate
-//! solves (lane width 1 — the pre-batching committed configuration), and
-//! the *batched* arm drives the same engine at the full lane width
-//! (lane-interleaved AMVA windows, `MAX_BATCH_LANES` sweep points per
-//! solve). All arms are bit-identical in results (enforced by the
-//! `refactor_equivalence` proptests and the engine's batched-equivalence
-//! tests), so "events" counted on one arm apply to every arm: an event is
-//! one per-job execution segment — one span per active job per event-loop
-//! step (sweeps count stage completions, the closest deterministic proxy
-//! the outcome record keeps).
+//! and the *production* arm drives the [`EvalEngine`] exactly as every
+//! library caller gets it — sweeps in batch-resident `f64x4` AMVA windows
+//! of `MAX_BATCH_LANES` points, scheduler runs on pooled simulators. Both
+//! arms are bit-identical in results (enforced by the `refactor_equivalence`
+//! proptests and the engine's reference-oracle tests), so "events" counted
+//! on one arm apply to the other: an event is one per-job execution
+//! segment — one span per active job per event-loop step (sweeps count
+//! stage completions, the closest deterministic proxy the outcome record
+//! keeps).
 //!
-//! The batched arms run the explicit `f64x4` AMVA kernel (auto-detected
-//! backend); alongside them the default run times the same batched
-//! sweeps with the kernel pinned scalar, so the SIMD delta is tracked
-//! (`*_simd_off` keys in the trend row).
-//!
-//! On top of the frozen *batched* comparator (the pre-resident per-lane
-//! drivers, pinned via [`EvalEngine::set_batch_resident`]), the default
-//! run times two more pair arms: *batch_resident* — the engine default,
-//! with pooled window checkout, resident outer fixed points and bulk memo
-//! traffic — and *warm_start* — the same plus warm-started outer fixed
-//! points (results within tolerance, so it gets its own trend key and
-//! never gates the bit-identical arms). A separate single-threaded
-//! instrumented pass ([`EvalEngine::set_phase_timing`]) reports the
-//! measured phase breakdown (solve / outer / submit+reset / memo /
-//! event-loop) for the legacy and resident drivers in the `phases`
-//! section.
+//! Alongside, the default run times the production sweeps with the AMVA
+//! kernel pinned scalar (`production_no_simd`), so the SIMD delta is
+//! tracked (`*_production_simd_off` keys in the trend row). A separate
+//! single-threaded instrumented pass ([`EvalEngine::set_phase_timing`])
+//! reports the production path's measured phase breakdown (solve / outer /
+//! submit+reset / memo / event-loop) in the `phases` section.
 //!
 //! Flags: `--baseline` runs the baseline arms only (for A/B against an
-//! older build); `--no-batch` skips the batched arms (the pre-batching
-//! report shape); `--batch` is the explicit form of the default (all
-//! arms); `--no-simd` pins the scalar AMVA kernel on every batched arm
-//! (rows get `"simd":"off"`, and the simd-off shadow arms are skipped);
-//! `--threads N` sets the worker count for the rayon-sharded arms (the
-//! row's `threads` context field reports it); `--lane-sweep`
-//! additionally measures the pair kernel at lane widths 1/2/4/6/8/12/16
-//! (the DESIGN.md §11 scaling curve); `--quick` (or `ECOST_QUICK=1`)
-//! shrinks every dimension for CI smoke runs.
+//! older build); `--no-simd` pins the scalar AMVA kernel on every
+//! production arm (rows get `"simd":"off"`, and the simd-off shadow arms
+//! are skipped); `--threads N` sets the worker count for the
+//! rayon-sharded arms (the row's `threads` context field reports it);
+//! `--quick` (or `ECOST_QUICK=1`) shrinks every dimension for CI smoke
+//! runs.
 //!
 //! Besides `BENCH_sim.json`, every run appends one compact row to the
 //! `BENCH_trend.jsonl` trend store (path override: `ECOST_TREND_OUT`;
@@ -82,7 +68,7 @@ use std::time::Instant;
 /// Report schema version. Bump when the `BENCH_sim.json` shape changes
 /// (new sections or renamed keys), never for additive arm entries inside
 /// an existing section; the pinned unit test makes bumps deliberate.
-const SCHEMA: &str = "ecost-bench-sim/3";
+const SCHEMA: &str = "ecost-bench-sim/4";
 
 /// One timed measurement arm.
 #[derive(Debug, Clone, Copy)]
@@ -126,26 +112,23 @@ impl Arm {
 /// Which arms this invocation measures.
 #[derive(Debug, Clone, Copy)]
 struct Arms {
-    optimized: bool,
-    batched: bool,
-    lane_sweep: bool,
-    /// `false` pins the scalar AMVA kernel on every batched arm.
+    /// `false` runs the baseline arms only.
+    production: bool,
+    /// `false` pins the scalar AMVA kernel on every production arm.
     simd: bool,
 }
 
 impl Arms {
     fn label(&self) -> &'static str {
-        if !self.optimized {
-            "baseline-only"
-        } else if !self.batched {
-            "no-batch"
-        } else {
+        if self.production {
             "all"
+        } else {
+            "baseline-only"
         }
     }
 
-    /// The trend row's `simd` context value: batched arms either all ran
-    /// the vector kernel or all had it pinned scalar.
+    /// The trend row's `simd` context value: production arms either all
+    /// ran the vector kernel or all had it pinned scalar.
     fn simd_label(&self) -> &'static str {
         if self.simd {
             "on"
@@ -155,7 +138,7 @@ impl Arms {
     }
 }
 
-/// Pool accounting accumulated across the optimized and batched arms.
+/// Pool accounting accumulated across the production arms.
 #[derive(Debug, Clone, Copy, Default)]
 struct PoolTotals {
     created: u64,
@@ -186,48 +169,18 @@ fn faster(best: Option<Arm>, cur: Arm) -> Option<Arm> {
     }
 }
 
-/// Optimized solo sweep: pooled engine with scalar solves, one fresh memo
+/// Production solo sweep: the engine's `sweep_solo` on one fresh memo
 /// (every point is a miss, so every point simulates — the kernel, not the
-/// cache, is timed).
-fn solo_optimized(
-    apps: &[App],
-    mb: f64,
-    configs: &[TuningConfig],
-    pool: &mut PoolTotals,
-) -> Result<Arm, BenchError> {
-    let eng = EvalEngine::atom().with_batch_lanes(1);
-    let t0 = Instant::now();
-    let mut events = 0u64;
-    for app in apps {
-        let outs: Vec<_> = configs
-            .par_iter()
-            .map(|&cfg| eng.solo_outcome(app.profile(), mb, cfg))
-            .collect::<Result<_, _>>()?;
-        events += outs.iter().map(|o| o.timeline.len() as u64).sum::<u64>();
-    }
-    let wall_s = t0.elapsed().as_secs_f64();
-    pool.absorb(&eng);
-    Ok(Arm {
-        wall_s,
-        sims: eng.stats().runs_simulated,
-        events,
-    })
-}
-
-/// Batched solo sweep: the engine's lane-interleaved sweep driver at full
-/// lane width, pinned to the pre-resident per-lane drivers so the
-/// `solo_batched` trend key keeps measuring the frozen comparator. Same
-/// 160-point space per app as the other arms; events are not observable
-/// through sweep metrics, the caller patches them in from the baseline
-/// arm (bit-identical timelines).
-fn solo_batched(
+/// cache, is timed). Same 160-point space per app as the baseline; events
+/// are not observable through sweep metrics, the caller patches them in
+/// from the baseline arm (bit-identical timelines).
+fn solo_production(
     apps: &[App],
     mb: f64,
     simd: bool,
     pool: &mut PoolTotals,
 ) -> Result<Arm, BenchError> {
-    let mut eng = EvalEngine::atom().with_simd(simd);
-    eng.set_batch_resident(false);
+    let eng = EvalEngine::atom().with_simd(simd);
     let t0 = Instant::now();
     for app in apps {
         eng.sweep_solo(app.profile(), mb)?;
@@ -269,61 +222,19 @@ fn solo_baseline(apps: &[App], mb: f64, configs: &[TuningConfig]) -> Result<Arm,
     })
 }
 
-/// Optimized pair sweep over `pcs` with scalar solves. Events are not
-/// observable through the engine's pair metrics; the caller patches them
-/// in from the baseline arm (bit-identical timelines).
-fn pair_optimized(
+/// Production pair sweep: the engine's full-space `pair_sweep` (the
+/// batched windows only exist under the sweep, so this arm always covers
+/// the whole space — in quick mode that is more points than the
+/// stride-sampled baseline arm, which is why arms compare on `sims_per_s`,
+/// not wall).
+fn pair_production(
     a: App,
     b: App,
     mb: f64,
-    pcs: &[PairConfig],
-    pool: &mut PoolTotals,
-) -> Result<Arm, BenchError> {
-    let eng = EvalEngine::atom().with_batch_lanes(1);
-    let t0 = Instant::now();
-    let _: Vec<_> = pcs
-        .par_iter()
-        .map(|&pc| eng.pair_metrics(a.profile(), mb, b.profile(), mb, pc))
-        .collect::<Result<_, _>>()?;
-    let wall_s = t0.elapsed().as_secs_f64();
-    pool.absorb(&eng);
-    Ok(Arm {
-        wall_s,
-        sims: eng.stats().runs_simulated,
-        events: 0,
-    })
-}
-
-/// Which window-execution path a batched pair arm drives.
-#[derive(Debug, Clone, Copy)]
-enum PairArm {
-    /// The frozen pre-resident per-lane drivers — what the `pair_batched`
-    /// trend key has always measured.
-    Legacy,
-    /// Batch-resident window execution (the engine default).
-    Resident,
-    /// Batch-resident plus warm-started outer fixed points (results
-    /// within tolerance, never compared against the bit-identical arms).
-    WarmStart,
-}
-
-/// Batched pair sweep at lane width `lanes`: the engine's full-space
-/// sweep driver (the batched windows only exist under the sweep, so this
-/// arm always covers the whole space — in quick mode that is more points
-/// than the stride-sampled scalar arms, which is why arms compare on
-/// `sims_per_s`, not wall). `arm` selects the window-execution path.
-fn pair_batched(
-    a: App,
-    b: App,
-    mb: f64,
-    lanes: usize,
     simd: bool,
-    arm: PairArm,
     pool: &mut PoolTotals,
 ) -> Result<Arm, BenchError> {
-    let mut eng = EvalEngine::atom().with_batch_lanes(lanes).with_simd(simd);
-    eng.set_batch_resident(!matches!(arm, PairArm::Legacy));
-    eng.set_warm_start(matches!(arm, PairArm::WarmStart));
+    let eng = EvalEngine::atom().with_simd(simd);
     let t0 = Instant::now();
     eng.pair_sweep(a.profile(), mb, b.profile(), mb)?;
     let wall_s = t0.elapsed().as_secs_f64();
@@ -399,33 +310,23 @@ fn scheduler_events(quick: bool) -> Result<u64, BenchError> {
         .count() as u64)
 }
 
-/// Scheduler arm selector: which executor the engine routes runs through.
-#[derive(Debug, Clone, Copy)]
-enum SchedArm {
-    Baseline,
-    Optimized,
-    Batched,
-}
-
 /// One timed pass of the streaming scheduler (wait queue, paired
 /// placement, per-node event loops) under the untuned policy, fault-free.
+/// `reference` routes every run through the frozen executor (the
+/// baseline arm); otherwise the engine runs as in production.
 fn scheduler_timed(
     quick: bool,
-    arm: SchedArm,
+    reference: bool,
     simd: bool,
     pool: &mut PoolTotals,
 ) -> Result<Arm, BenchError> {
     let (nodes, wl) = scheduler_load(quick);
-    let mut eng = EvalEngine::atom();
-    match arm {
-        SchedArm::Baseline => eng.set_reference_executor(true),
-        SchedArm::Optimized => eng.set_batch_lanes(1),
-        SchedArm::Batched => eng.set_simd(simd),
-    }
+    let mut eng = EvalEngine::atom().with_simd(simd);
+    eng.set_reference_executor(reference);
     let t0 = Instant::now();
     run_untuned_faulted(&eng, nodes, &wl, None, &scheduler_setup())?;
     let wall_s = t0.elapsed().as_secs_f64();
-    if !matches!(arm, SchedArm::Baseline) {
+    if !reference {
         pool.absorb(&eng);
     }
     Ok(Arm {
@@ -435,19 +336,27 @@ fn scheduler_timed(
     })
 }
 
-/// One instrumented pass over a fresh engine — the full solo sweep plus
-/// the full pair sweep, every point a miss — with phase timing on.
-/// Returns the pass's wall nanoseconds and the drained breakdown. The
-/// caller pins `RAYON_NUM_THREADS=1` so the summed per-thread buckets are
-/// directly comparable to the wall.
-fn phase_pass(simd: bool, resident: bool, mb: f64) -> Result<(u64, PhaseBreakdown), BenchError> {
+/// One instrumented pass of the production path over a fresh engine —
+/// the full solo sweep plus the full pair sweep, every point a miss —
+/// with phase timing on, pinned to one rayon worker (restoring the
+/// caller's `RAYON_NUM_THREADS`) so the summed per-thread buckets are
+/// directly comparable to the wall. Returns the pass's wall nanoseconds
+/// and the drained breakdown.
+fn phase_pass(simd: bool, mb: f64) -> Result<(u64, PhaseBreakdown), BenchError> {
+    let prev = std::env::var("RAYON_NUM_THREADS").ok();
+    std::env::set_var("RAYON_NUM_THREADS", "1");
     let mut eng = EvalEngine::atom().with_simd(simd);
-    eng.set_batch_resident(resident);
     eng.set_phase_timing(true);
     let t0 = Instant::now();
-    eng.sweep_solo(App::Gp.profile(), mb)?;
-    eng.pair_sweep(App::Gp.profile(), mb, App::St.profile(), mb)?;
+    let run = eng
+        .sweep_solo(App::Gp.profile(), mb)
+        .and_then(|_| eng.pair_sweep(App::Gp.profile(), mb, App::St.profile(), mb));
     let wall_ns = t0.elapsed().as_nanos() as u64;
+    match prev {
+        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
+        None => std::env::remove_var("RAYON_NUM_THREADS"),
+    }
+    run?;
     Ok((wall_ns, eng.take_phase_breakdown()))
 }
 
@@ -478,49 +387,6 @@ fn phase_json(wall_ns: u64, p: &PhaseBreakdown) -> String {
     )
 }
 
-/// Measure the phase breakdown of the legacy and batch-resident drivers
-/// on one thread (restoring the caller's `RAYON_NUM_THREADS`), and emit
-/// the `phases` section. The legacy drivers only instrument the
-/// engine-side buckets (submit/reset and memo) — their kernel keeps no
-/// timestamps — so shares are computed against the pass wall, which both
-/// drivers report the same way.
-fn measure_phases(out: &mut String, simd: bool, mb: f64) -> Result<(), BenchError> {
-    let prev = std::env::var("RAYON_NUM_THREADS").ok();
-    std::env::set_var("RAYON_NUM_THREADS", "1");
-    let legacy = phase_pass(simd, false, mb);
-    let resident = phase_pass(simd, true, mb);
-    match prev {
-        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
-    let (legacy_wall, legacy_p) = legacy?;
-    let (res_wall, res_p) = resident?;
-    let legacy_share = submit_reset_memo_share(legacy_wall, &legacy_p);
-    let res_share = submit_reset_memo_share(res_wall, &res_p);
-    let reduction = if res_share > 0.0 {
-        legacy_share / res_share
-    } else {
-        0.0
-    };
-    let _ = writeln!(out, "  \"phases\": {{");
-    let _ = writeln!(
-        out,
-        "    \"legacy\": {},",
-        phase_json(legacy_wall, &legacy_p)
-    );
-    let _ = writeln!(
-        out,
-        "    \"batch_resident\": {},",
-        phase_json(res_wall, &res_p)
-    );
-    let _ = writeln!(
-        out,
-        "    \"submit_reset_memo_share_reduction\": {reduction:.2}"
-    );
-    let _ = writeln!(out, "  }},");
-    Ok(())
-}
-
 /// Emit one kernel section: scalar extras, then every present arm, then
 /// every present ratio — comma placement handled by joining.
 fn section(
@@ -547,15 +413,6 @@ fn section(
     let _ = writeln!(out, "  \"{name}\": {{");
     let _ = writeln!(out, "{}", items.join(",\n"));
     let _ = writeln!(out, "  }},");
-}
-
-/// Wall-clock speedup of `opt` over `base` — only meaningful when both
-/// arms did identical work (same point set).
-fn wall_speedup(opt: Option<Arm>, base: Option<Arm>) -> Option<f64> {
-    match (opt, base) {
-        (Some(o), Some(b)) if o.wall_s > 0.0 => Some(b.wall_s / o.wall_s),
-        _ => None,
-    }
 }
 
 /// Throughput ratio of `num` over `den` — rate-based, so it stays
@@ -670,204 +527,96 @@ fn run(arms: Arms) -> Result<(), BenchError> {
         arms.label()
     );
     let mut solo_base: Option<Arm> = None;
-    let mut solo_opt: Option<Arm> = None;
-    let mut solo_bat: Option<Arm> = None;
+    let mut solo_prod: Option<Arm> = None;
     let mut solo_off: Option<Arm> = None;
     for _ in 0..rounds {
         solo_base = faster(solo_base, solo_baseline(&apps, mb, &solo_cfgs)?);
-        if arms.optimized {
-            solo_opt = faster(solo_opt, solo_optimized(&apps, mb, &solo_cfgs, &mut pool)?);
+        if arms.production {
+            solo_prod = faster(solo_prod, solo_production(&apps, mb, arms.simd, &mut pool)?);
         }
-        if arms.batched {
-            solo_bat = faster(solo_bat, solo_batched(&apps, mb, arms.simd, &mut pool)?);
-        }
-        // Shadow arm: same batched sweep with the kernel pinned scalar,
+        // Shadow arm: same production sweep with the kernel pinned scalar,
         // so the SIMD delta itself is tracked by trend_check.
-        if arms.batched && arms.simd {
-            solo_off = faster(solo_off, solo_batched(&apps, mb, false, &mut pool)?);
+        if arms.production && arms.simd {
+            solo_off = faster(solo_off, solo_production(&apps, mb, false, &mut pool)?);
         }
     }
     let solo_base = solo_base.ok_or(BenchError::Invalid("no solo rounds ran".into()))?;
     // Bit-identical arms: the baseline's event count transfers (sweep
-    // metrics keep no timelines to count on the batched arm).
-    let solo_bat = solo_bat.map(|mut arm| {
-        arm.events = solo_base.events;
-        arm
-    });
-    let solo_off = solo_off.map(|mut arm| {
-        arm.events = solo_base.events;
-        arm
-    });
+    // metrics keep no timelines to count on the production arms).
+    let with_solo_events = |arm: Option<Arm>| {
+        arm.map(|mut a| {
+            a.events = solo_base.events;
+            a
+        })
+    };
+    let (solo_prod, solo_off) = (with_solo_events(solo_prod), with_solo_events(solo_off));
 
     let all_pcs = PairConfig::space(tb.node.cores);
     let full_space = all_pcs.len();
     let stride = if quick { 32 } else { 1 };
     let pcs: Vec<PairConfig> = all_pcs.into_iter().step_by(stride).collect();
     eprintln!(
-        "[bench_report] pair sweep: {} configs ({} batched), {rounds} rounds…",
+        "[bench_report] pair sweep: {} baseline configs ({} production), {rounds} rounds…",
         pcs.len(),
         full_space
     );
     let mut pair_base: Option<Arm> = None;
-    let mut pair_opt: Option<Arm> = None;
-    let mut pair_bat: Option<Arm> = None;
+    let mut pair_prod: Option<Arm> = None;
     let mut pair_off: Option<Arm> = None;
-    let mut pair_res: Option<Arm> = None;
-    let mut pair_warm: Option<Arm> = None;
     for _ in 0..rounds {
         pair_base = faster(pair_base, pair_baseline(App::Gp, App::St, mb, &pcs)?);
-        if arms.optimized {
-            pair_opt = faster(
-                pair_opt,
-                pair_optimized(App::Gp, App::St, mb, &pcs, &mut pool)?,
+        if arms.production {
+            pair_prod = faster(
+                pair_prod,
+                pair_production(App::Gp, App::St, mb, arms.simd, &mut pool)?,
             );
         }
-        if arms.batched {
-            pair_bat = faster(
-                pair_bat,
-                pair_batched(
-                    App::Gp,
-                    App::St,
-                    mb,
-                    MAX_BATCH_LANES,
-                    arms.simd,
-                    PairArm::Legacy,
-                    &mut pool,
-                )?,
-            );
-            // Interleaved with the frozen comparator above, so the
-            // resident-vs-batched ratio comes from the same run.
-            pair_res = faster(
-                pair_res,
-                pair_batched(
-                    App::Gp,
-                    App::St,
-                    mb,
-                    MAX_BATCH_LANES,
-                    arms.simd,
-                    PairArm::Resident,
-                    &mut pool,
-                )?,
-            );
-            pair_warm = faster(
-                pair_warm,
-                pair_batched(
-                    App::Gp,
-                    App::St,
-                    mb,
-                    MAX_BATCH_LANES,
-                    arms.simd,
-                    PairArm::WarmStart,
-                    &mut pool,
-                )?,
-            );
-        }
-        if arms.batched && arms.simd {
+        if arms.production && arms.simd {
             pair_off = faster(
                 pair_off,
-                pair_batched(
-                    App::Gp,
-                    App::St,
-                    mb,
-                    MAX_BATCH_LANES,
-                    false,
-                    PairArm::Legacy,
-                    &mut pool,
-                )?,
+                pair_production(App::Gp, App::St, mb, false, &mut pool)?,
             );
         }
     }
     let pair_base = pair_base.ok_or(BenchError::Invalid("no pair rounds ran".into()))?;
     // Bit-identical arms: the baseline's event count is the event count
-    // (the engine's pair memo keeps metrics, not timelines). The batched
-    // arm's count transfers only when it covered the same point set.
-    let pair_opt = pair_opt.map(|mut arm| {
-        arm.events = pair_base.events;
-        arm
-    });
-    let pair_bat = pair_bat.map(|mut arm| {
-        if arm.sims == pair_base.sims {
-            arm.events = pair_base.events;
-        }
-        arm
-    });
-    let pair_off = pair_off.map(|mut arm| {
-        if arm.sims == pair_base.sims {
-            arm.events = pair_base.events;
-        }
-        arm
-    });
-    let pair_res = pair_res.map(|mut arm| {
-        if arm.sims == pair_base.sims {
-            arm.events = pair_base.events;
-        }
-        arm
-    });
-    // The warm-start arm's results are within-tolerance, not
-    // bit-identical, so the baseline's event count does not transfer.
-
-    // Lane-width scaling curve for the pair kernel (DESIGN.md §11).
-    let mut lane_curve: Vec<(usize, Option<Arm>)> = Vec::new();
-    if arms.lane_sweep {
-        let widths = [1usize, 2, 4, 6, 8, 12, 16];
-        eprintln!("[bench_report] lane sweep: widths {widths:?}, {rounds} rounds…");
-        lane_curve = widths.iter().map(|&w| (w, None)).collect();
-        for _ in 0..rounds {
-            for (w, best) in &mut lane_curve {
-                *best = faster(
-                    *best,
-                    pair_batched(
-                        App::Gp,
-                        App::St,
-                        mb,
-                        *w,
-                        arms.simd,
-                        PairArm::Resident,
-                        &mut pool,
-                    )?,
-                );
+    // (the engine's pair memo keeps metrics, not timelines), but it only
+    // transfers when the production arm covered the same point set.
+    let with_pair_events = |arm: Option<Arm>| {
+        arm.map(|mut a| {
+            if a.sims == pair_base.sims {
+                a.events = pair_base.events;
             }
-        }
-    }
+            a
+        })
+    };
+    let (pair_prod, pair_off) = (with_pair_events(pair_prod), with_pair_events(pair_off));
 
     eprintln!("[bench_report] scheduler run, {rounds} rounds…");
     let (nodes, wl) = scheduler_load(quick);
     let jobs = wl.jobs.len();
     let sched_events = scheduler_events(quick)?;
     let mut sched_base: Option<Arm> = None;
-    let mut sched_opt: Option<Arm> = None;
-    let mut sched_bat: Option<Arm> = None;
+    let mut sched_prod: Option<Arm> = None;
     for _ in 0..rounds {
         sched_base = faster(
             sched_base,
-            scheduler_timed(quick, SchedArm::Baseline, arms.simd, &mut pool)?,
+            scheduler_timed(quick, true, arms.simd, &mut pool)?,
         );
-        if arms.optimized {
-            sched_opt = faster(
-                sched_opt,
-                scheduler_timed(quick, SchedArm::Optimized, arms.simd, &mut pool)?,
-            );
-        }
-        if arms.batched {
-            sched_bat = faster(
-                sched_bat,
-                scheduler_timed(quick, SchedArm::Batched, arms.simd, &mut pool)?,
+        if arms.production {
+            sched_prod = faster(
+                sched_prod,
+                scheduler_timed(quick, false, arms.simd, &mut pool)?,
             );
         }
     }
-    let sched_base = sched_base.ok_or(BenchError::Invalid("no scheduler rounds ran".into()))?;
-    let patch = |arm: Option<Arm>| {
-        arm.map(|mut a| {
-            a.events = sched_events;
-            a
-        })
-    };
-    let sched_base = {
-        let mut a = sched_base;
+    let with_sched_events = |mut a: Arm| {
         a.events = sched_events;
         a
     };
-    let (sched_opt, sched_bat) = (patch(sched_opt), patch(sched_bat));
+    let sched_base =
+        with_sched_events(sched_base.ok_or(BenchError::Invalid("no scheduler rounds ran".into()))?);
+    let sched_prod = sched_prod.map(with_sched_events);
 
     let mut out = String::new();
     out.push_str("{\n");
@@ -898,15 +647,13 @@ fn run(arms: Arms) -> Result<(), BenchError> {
             ("configs", solo_cfgs.len().to_string()),
         ],
         &[
-            ("optimized", solo_opt),
-            ("batched", solo_bat),
-            ("batched_no_simd", solo_off),
+            ("production", solo_prod),
+            ("production_no_simd", solo_off),
             ("baseline", Some(solo_base)),
         ],
         &[
-            ("speedup", wall_speedup(solo_opt, Some(solo_base))),
-            ("speedup_batched", rate_ratio(solo_bat, solo_opt)),
-            ("speedup_simd", rate_ratio(solo_bat, solo_off)),
+            ("speedup", rate_ratio(solo_prod, Some(solo_base))),
+            ("speedup_simd", rate_ratio(solo_prod, solo_off)),
         ],
     );
     section(
@@ -914,57 +661,28 @@ fn run(arms: Arms) -> Result<(), BenchError> {
         "pair_sweep",
         &[("configs", pcs.len().to_string())],
         &[
-            ("optimized", pair_opt),
-            ("batched", pair_bat),
-            ("batch_resident", pair_res),
-            ("warm_start", pair_warm),
-            ("batched_no_simd", pair_off),
+            ("production", pair_prod),
+            ("production_no_simd", pair_off),
             ("baseline", Some(pair_base)),
         ],
         &[
-            ("speedup", wall_speedup(pair_opt, Some(pair_base))),
-            ("speedup_batched", rate_ratio(pair_bat, pair_opt)),
-            ("speedup_resident", rate_ratio(pair_res, pair_bat)),
-            ("speedup_warm", rate_ratio(pair_warm, pair_res)),
-            ("speedup_simd", rate_ratio(pair_bat, pair_off)),
+            ("speedup", rate_ratio(pair_prod, Some(pair_base))),
+            ("speedup_simd", rate_ratio(pair_prod, pair_off)),
         ],
     );
-    if !lane_curve.is_empty() {
-        let _ = writeln!(out, "  \"lane_sweep\": [");
-        let rows: Vec<String> = lane_curve
-            .iter()
-            .filter_map(|&(w, arm)| {
-                arm.map(|a| {
-                    format!(
-                        "    {{\"lanes\": {w}, \"sims\": {}, \"wall_s\": {:.4}, \
-                         \"sims_per_s\": {:.1}}}",
-                        a.sims,
-                        a.wall_s,
-                        a.sims_per_s()
-                    )
-                })
-            })
-            .collect();
-        let _ = writeln!(out, "{}", rows.join(",\n"));
-        let _ = writeln!(out, "  ],");
-    }
     section(
         &mut out,
         "scheduler",
         &[("nodes", nodes.to_string()), ("jobs", jobs.to_string())],
-        &[
-            ("optimized", sched_opt),
-            ("batched", sched_bat),
-            ("baseline", Some(sched_base)),
-        ],
-        &[
-            ("speedup", wall_speedup(sched_opt, Some(sched_base))),
-            ("speedup_batched", rate_ratio(sched_bat, sched_opt)),
-        ],
+        &[("production", sched_prod), ("baseline", Some(sched_base))],
+        &[("speedup", rate_ratio(sched_prod, Some(sched_base)))],
     );
-    if arms.batched {
-        eprintln!("[bench_report] phase breakdown: legacy vs batch-resident, 1 thread…");
-        measure_phases(&mut out, arms.simd, mb)?;
+    if arms.production {
+        eprintln!("[bench_report] phase breakdown: production path, 1 thread…");
+        let (wall_ns, p) = phase_pass(arms.simd, mb)?;
+        let _ = writeln!(out, "  \"phases\": {{");
+        let _ = writeln!(out, "    \"production\": {}", phase_json(wall_ns, &p));
+        let _ = writeln!(out, "  }},");
     }
     let _ = writeln!(out, "  \"pool\": {{");
     let _ = writeln!(out, "    \"sims_created\": {},", pool.created);
@@ -988,18 +706,13 @@ fn run(arms: Arms) -> Result<(), BenchError> {
         quick,
         &[
             ("solo_baseline", Some(solo_base)),
-            ("solo_optimized", solo_opt),
-            ("solo_batched", solo_bat),
-            ("solo_simd_off", solo_off),
+            ("solo_production", solo_prod),
+            ("solo_production_simd_off", solo_off),
             ("pair_baseline", Some(pair_base)),
-            ("pair_optimized", pair_opt),
-            ("pair_batched", pair_bat),
-            ("pair_batch_resident", pair_res),
-            ("pair_warm_start", pair_warm),
-            ("pair_simd_off", pair_off),
+            ("pair_production", pair_prod),
+            ("pair_production_simd_off", pair_off),
             ("sched_baseline", Some(sched_base)),
-            ("sched_optimized", sched_opt),
-            ("sched_batched", sched_bat),
+            ("sched_production", sched_prod),
         ],
     )?;
     eprintln!("[bench_report] appended trend row to {trend_path}");
@@ -1007,15 +720,9 @@ fn run(arms: Arms) -> Result<(), BenchError> {
 }
 
 fn main() -> ExitCode {
-    let baseline_only = std::env::args().any(|a| a == "--baseline");
-    let no_batch = std::env::args().any(|a| a == "--no-batch");
-    let lane_sweep = std::env::args().any(|a| a == "--lane-sweep");
-    let no_simd = std::env::args().any(|a| a == "--no-simd");
     let arms = Arms {
-        optimized: !baseline_only,
-        batched: !baseline_only && !no_batch,
-        lane_sweep: lane_sweep && !baseline_only && !no_batch,
-        simd: !no_simd,
+        production: !std::env::args().any(|a| a == "--baseline"),
+        simd: !std::env::args().any(|a| a == "--no-simd"),
     };
     ecost_bench::run_main("bench_report", || run(arms))
 }
@@ -1029,7 +736,7 @@ mod tests {
         // Consumers (CI smoke, DESIGN.md §11, external dashboards) key on
         // this exact string; a shape change must bump it here on purpose,
         // in the same commit that documents the new shape.
-        assert_eq!(SCHEMA, "ecost-bench-sim/3");
+        assert_eq!(SCHEMA, "ecost-bench-sim/4");
     }
 
     #[test]

@@ -325,7 +325,11 @@ fn run() -> Result<(), BenchError> {
     let _ = writeln!(out, "  \"cache_budget_per_table\": {},", scale.budget);
     // Dispatch visibility: the double-run diff catches a build whose
     // engines silently changed lane width or vector backend.
-    let _ = writeln!(out, "  \"batch_lanes\": {},", eng_e.batch_lanes());
+    let _ = writeln!(
+        out,
+        "  \"batch_lanes\": {},",
+        ecost_mapreduce::MAX_BATCH_LANES
+    );
     let _ = writeln!(
         out,
         "  \"simd_backend\": \"{}\",",

@@ -31,20 +31,17 @@ use ecost_bench::BenchError;
 use std::process::ExitCode;
 
 /// Headline throughput keys a row may carry (absent arms are skipped).
-const METRICS: [&str; 16] = [
+/// Keys of retired bench arms are deliberately absent: old rows that
+/// carry them never gate anything.
+const METRICS: [&str; 11] = [
     "solo_baseline_sims_per_s",
-    "solo_optimized_sims_per_s",
-    "solo_batched_sims_per_s",
-    "solo_simd_off_sims_per_s",
+    "solo_production_sims_per_s",
+    "solo_production_simd_off_sims_per_s",
     "pair_baseline_sims_per_s",
-    "pair_optimized_sims_per_s",
-    "pair_batched_sims_per_s",
-    "pair_batch_resident_sims_per_s",
-    "pair_warm_start_sims_per_s",
-    "pair_simd_off_sims_per_s",
+    "pair_production_sims_per_s",
+    "pair_production_simd_off_sims_per_s",
     "sched_baseline_sims_per_s",
-    "sched_optimized_sims_per_s",
-    "sched_batched_sims_per_s",
+    "sched_production_sims_per_s",
     "scale_decisions_per_s",
     "service_decisions_per_s",
     "fleet_decisions_per_s",
@@ -296,7 +293,7 @@ mod tests {
             context(row),
             Some(("quick".into(), "scale".into(), 1, None))
         );
-        let row = r#"{"schema":"ecost-bench-trend/1","commit":"abc","mode":"full","arms":"all","threads":2,"simd":"on","pair_batched_sims_per_s":9.0}"#;
+        let row = r#"{"schema":"ecost-bench-trend/1","commit":"abc","mode":"full","arms":"all","threads":2,"simd":"on","pair_production_sims_per_s":9.0}"#;
         assert_eq!(
             context(row),
             Some(("full".into(), "all".into(), 2, Some("on".into())))
@@ -308,16 +305,16 @@ mod tests {
         // A seed row written before the simd field existed must not gate
         // the first simd-era row, even though mode/arms/threads match and
         // the metric key is shared (with a large apparent drop).
-        let old = r#"{"schema":"ecost-bench-trend/1","commit":"a","mode":"quick","arms":"all","threads":1,"pair_batched_sims_per_s":100.0}"#;
-        let new = r#"{"schema":"ecost-bench-trend/1","commit":"b","mode":"quick","arms":"all","threads":1,"simd":"on","pair_batched_sims_per_s":50.0}"#;
+        let old = r#"{"schema":"ecost-bench-trend/1","commit":"a","mode":"quick","arms":"all","threads":1,"pair_baseline_sims_per_s":100.0}"#;
+        let new = r#"{"schema":"ecost-bench-trend/1","commit":"b","mode":"quick","arms":"all","threads":1,"simd":"on","pair_baseline_sims_per_s":50.0}"#;
         let path = write_store("simd_split.jsonl", &[old, new]);
         match check(&path, 0.10) {
             Err(BenchError::NoData(msg)) => assert!(msg.contains("seeds the trend"), "{msg}"),
             other => panic!("expected NoData, got {other:?}"),
         }
         // And the two simd settings never gate each other.
-        let on = r#"{"schema":"ecost-bench-trend/1","commit":"c","mode":"quick","arms":"all","threads":1,"simd":"on","pair_batched_sims_per_s":100.0}"#;
-        let off = r#"{"schema":"ecost-bench-trend/1","commit":"d","mode":"quick","arms":"all","threads":1,"simd":"off","pair_batched_sims_per_s":50.0}"#;
+        let on = r#"{"schema":"ecost-bench-trend/1","commit":"c","mode":"quick","arms":"all","threads":1,"simd":"on","pair_production_sims_per_s":100.0}"#;
+        let off = r#"{"schema":"ecost-bench-trend/1","commit":"d","mode":"quick","arms":"all","threads":1,"simd":"off","pair_production_sims_per_s":50.0}"#;
         let path = write_store("simd_on_off.jsonl", &[on, off]);
         match check(&path, 0.10) {
             Err(BenchError::NoData(msg)) => assert!(msg.contains("seeds the trend"), "{msg}"),
@@ -326,72 +323,67 @@ mod tests {
     }
 
     #[test]
-    fn synthetic_drop_in_a_simd_row_fails_the_gate() {
+    fn synthetic_drop_in_a_production_key_fails_the_gate() {
         let mk = |commit: &str, rate: f64| {
             format!(
-                r#"{{"schema":"ecost-bench-trend/1","commit":"{commit}","mode":"full","arms":"all","threads":1,"simd":"on","pair_batched_sims_per_s":{rate:.1},"pair_simd_off_sims_per_s":{:.1}}}"#,
+                r#"{{"schema":"ecost-bench-trend/1","commit":"{commit}","dirty":false,"mode":"full","arms":"all","threads":1,"simd":"on","pair_production_sims_per_s":{rate:.1},"pair_production_simd_off_sims_per_s":{:.1}}}"#,
                 rate / 2.0
             )
         };
         let rows = [mk("a", 1000.0), mk("b", 1010.0), mk("c", 990.0)];
         let held = mk("d", 960.0);
-        let path = write_store("simd_gate_ok.jsonl", &[&rows[0], &rows[1], &rows[2], &held]);
+        let path = write_store("prod_gate_ok.jsonl", &[&rows[0], &rows[1], &rows[2], &held]);
         assert!(check(&path, 0.10).is_ok());
-        // >10% drop in the simd arm (and its shadow) must fail.
-        let dropped = mk("e", 500.0);
+        // >10% drop in the production arm (and its simd-off shadow) must
+        // fail, naming both keys.
+        let dropped = mk("e", 880.0);
         let path = write_store(
-            "simd_gate_bad.jsonl",
+            "prod_gate_bad.jsonl",
             &[&rows[0], &rows[1], &rows[2], &dropped],
         );
         match check(&path, 0.10) {
             Err(BenchError::Invalid(msg)) => {
-                assert!(msg.contains("pair_batched_sims_per_s"), "{msg}");
-                assert!(msg.contains("pair_simd_off_sims_per_s"), "{msg}");
+                assert!(msg.contains("pair_production_sims_per_s"), "{msg}");
+                assert!(msg.contains("pair_production_simd_off_sims_per_s"), "{msg}");
             }
             other => panic!("expected Invalid regression, got {other:?}"),
         }
     }
 
     #[test]
-    fn resident_keys_are_additive_and_old_rows_never_gate_them() {
-        // A pre-resident row (no pair_batch_resident / pair_warm_start
-        // keys) shares its context AND its pair_batched key with the first
-        // resident-era row. The shared key still gates; the new keys are
-        // simply skipped (no prior sample), so an old store can never
-        // flag — or hide — a change in the new arms.
-        let old = r#"{"schema":"ecost-bench-trend/1","commit":"a","mode":"full","arms":"all","threads":1,"simd":"on","pair_batched_sims_per_s":100.0}"#;
-        let new = r#"{"schema":"ecost-bench-trend/1","commit":"b","mode":"full","arms":"all","threads":1,"simd":"on","pair_batched_sims_per_s":98.0,"pair_batch_resident_sims_per_s":150.0,"pair_warm_start_sims_per_s":170.0}"#;
-        let path = write_store("resident_additive_ok.jsonl", &[old, new]);
-        assert!(check(&path, 0.10).is_ok());
-        // Same store, but the shared legacy key regressed: still caught,
-        // and the complaint names only the key with a prior sample.
-        let bad = r#"{"schema":"ecost-bench-trend/1","commit":"c","mode":"full","arms":"all","threads":1,"simd":"on","pair_batched_sims_per_s":50.0,"pair_batch_resident_sims_per_s":1.0,"pair_warm_start_sims_per_s":1.0}"#;
-        let path = write_store("resident_additive_bad.jsonl", &[old, bad]);
+    fn solo_and_scheduler_production_keys_gate_too() {
+        let prior = r#"{"schema":"ecost-bench-trend/1","commit":"a","dirty":false,"mode":"full","arms":"all","threads":1,"simd":"on","solo_production_sims_per_s":400.0,"sched_production_sims_per_s":20.0}"#;
+        let dropped = r#"{"schema":"ecost-bench-trend/1","commit":"b","dirty":true,"mode":"full","arms":"all","threads":1,"simd":"on","solo_production_sims_per_s":300.0,"sched_production_sims_per_s":15.0}"#;
+        let path = write_store("prod_solo_sched_bad.jsonl", &[prior, dropped]);
         match check(&path, 0.10) {
             Err(BenchError::Invalid(msg)) => {
-                assert!(msg.contains("pair_batched_sims_per_s"), "{msg}");
-                assert!(!msg.contains("pair_batch_resident_sims_per_s"), "{msg}");
-                assert!(!msg.contains("pair_warm_start_sims_per_s"), "{msg}");
+                assert!(msg.contains("solo_production_sims_per_s"), "{msg}");
+                assert!(msg.contains("sched_production_sims_per_s"), "{msg}");
             }
             other => panic!("expected Invalid regression, got {other:?}"),
         }
     }
 
     #[test]
-    fn resident_rows_gate_each_other_and_tolerate_dirty_field() {
-        // Two resident-era rows (with the new `dirty` context field the
-        // writer now emits): the new keys now have prior samples, so a
-        // drop in pair_batch_resident alone fails the gate.
-        let prior = r#"{"schema":"ecost-bench-trend/1","commit":"a","dirty":false,"mode":"full","arms":"all","threads":1,"simd":"on","pair_batched_sims_per_s":100.0,"pair_batch_resident_sims_per_s":150.0,"pair_warm_start_sims_per_s":170.0}"#;
-        let held = r#"{"schema":"ecost-bench-trend/1","commit":"b","dirty":true,"mode":"full","arms":"all","threads":1,"simd":"on","pair_batched_sims_per_s":100.0,"pair_batch_resident_sims_per_s":145.0,"pair_warm_start_sims_per_s":165.0}"#;
-        let path = write_store("resident_gate_ok.jsonl", &[prior, held]);
+    fn retired_keys_never_gate_and_production_keys_are_additive() {
+        // A row from before the sweep engine collapsed carries retired arm
+        // keys (batched, batch-resident) next to the baseline
+        // key it still shares with the first production-era row. The shared
+        // key gates; the new production key has no prior sample and is
+        // skipped; a retired key is never compared, however far it falls.
+        let old = r#"{"schema":"ecost-bench-trend/1","commit":"a","dirty":false,"mode":"full","arms":"all","threads":1,"simd":"on","pair_baseline_sims_per_s":50.0,"pair_batched_sims_per_s":180.0,"pair_batch_resident_sims_per_s":240.0}"#;
+        let new = r#"{"schema":"ecost-bench-trend/1","commit":"b","dirty":false,"mode":"full","arms":"all","threads":1,"simd":"on","pair_baseline_sims_per_s":49.0,"pair_batched_sims_per_s":1.0,"pair_production_sims_per_s":240.0}"#;
+        let path = write_store("retired_keys_ok.jsonl", &[old, new]);
         assert!(check(&path, 0.10).is_ok());
-        let dropped = r#"{"schema":"ecost-bench-trend/1","commit":"c","dirty":false,"mode":"full","arms":"all","threads":1,"simd":"on","pair_batched_sims_per_s":100.0,"pair_batch_resident_sims_per_s":90.0,"pair_warm_start_sims_per_s":165.0}"#;
-        let path = write_store("resident_gate_bad.jsonl", &[prior, dropped]);
+        // Same store, but the shared baseline key regressed: still caught,
+        // and the complaint names only keys that are still gated.
+        let bad = r#"{"schema":"ecost-bench-trend/1","commit":"c","dirty":false,"mode":"full","arms":"all","threads":1,"simd":"on","pair_baseline_sims_per_s":25.0,"pair_batched_sims_per_s":1.0,"pair_production_sims_per_s":1.0}"#;
+        let path = write_store("retired_keys_bad.jsonl", &[old, bad]);
         match check(&path, 0.10) {
             Err(BenchError::Invalid(msg)) => {
-                assert!(msg.contains("pair_batch_resident_sims_per_s"), "{msg}");
-                assert!(!msg.contains("pair_warm_start_sims_per_s"), "{msg}");
+                assert!(msg.contains("pair_baseline_sims_per_s"), "{msg}");
+                assert!(!msg.contains("pair_batched_sims_per_s"), "{msg}");
+                assert!(!msg.contains("pair_production_sims_per_s"), "{msg}");
             }
             other => panic!("expected Invalid regression, got {other:?}"),
         }

@@ -29,7 +29,7 @@ pub use retry::RetryPolicy;
 use crate::features::Testbed;
 use cache::ShardedCache;
 use ecost_apps::AppProfile;
-use ecost_mapreduce::executor::JobOutcome;
+use ecost_mapreduce::executor::{JobOutcome, NodeSim};
 use ecost_mapreduce::reference::ReferenceNodeSim;
 use ecost_mapreduce::{
     run_batch_to_completion, JobMetrics, JobSpec, PairConfig, PairMetrics, TuningConfig,
@@ -43,15 +43,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Lane windows one batch-resident span drives between pool checkouts.
+/// Lane windows one sweep span drives between pool checkouts.
 ///
-/// The resident sweeps hold a whole span's simulators (and one batch
-/// scratch) checked out across consecutive windows, resetting lane state in
+/// Sweeps hold a whole span's simulators (and one batch scratch) checked
+/// out across consecutive windows, resetting lane state in
 /// place between windows, so the pool's lock and the multi-KB per-simulator
 /// moves are paid once per span instead of once per window. Kept small
 /// enough that a full sweep still splits into plenty of spans for the
 /// rayon workers.
-const FUSED_WINDOWS_PER_SPAN: usize = 8;
+const WINDOWS_PER_SPAN: usize = 8;
 
 /// Wall-clock cost breakdown of the engine's batched miss path, measured
 /// (not estimated) when phase timing is on ([`EvalEngine::set_phase_timing`])
@@ -462,24 +462,13 @@ pub struct EvalEngine {
     recorder: Recorder,
     counters: EngineCounters,
     budget: CacheBudget,
-    /// Lane width for batched sweep windows (1 = scalar solves). Clamped
-    /// to `1..=MAX_BATCH_LANES`; every lane is bit-identical to a scalar
-    /// solve, so this is purely a throughput knob.
-    batch_lanes: usize,
     /// Route miss-path runs through the frozen `ReferenceNodeSim` instead
-    /// of the optimized pooled executor (benchmark baseline arm).
+    /// of the optimized pooled executor (the oracle and benchmark baseline
+    /// arm).
     reference: bool,
     /// AMVA vector backend for batched sweep windows, detected at
     /// construction ([`Self::set_simd`] pins the scalar kernel instead).
     simd: SimdBackend,
-    /// Batch-resident window execution (on by default): pooled window
-    /// checkout, resident outer fixed points, bulk memo traffic. Off pins
-    /// the pre-resident per-lane drivers — bit-identical results, kept as
-    /// the frozen benchmark comparator.
-    batch_resident: bool,
-    /// Warm-started outer fixed points (off by default; results change
-    /// within tolerance, so goldens pin this off).
-    warm_start: bool,
     /// Collect the [`PhaseBreakdown`] buckets (off by default: the hot
     /// path takes no timestamps unless asked).
     phase_timing: bool,
@@ -519,11 +508,8 @@ impl EvalEngine {
             recorder,
             counters,
             budget: CacheBudget::unbounded(),
-            batch_lanes: MAX_BATCH_LANES,
             reference: false,
             simd: SimdBackend::detect(),
-            batch_resident: true,
-            warm_start: false,
             phase_timing: false,
             phases: PhaseNs::default(),
         }
@@ -553,30 +539,12 @@ impl EvalEngine {
         self.budget
     }
 
-    /// Builder form of [`Self::set_batch_lanes`].
-    pub fn with_batch_lanes(mut self, lanes: usize) -> EvalEngine {
-        self.set_batch_lanes(lanes);
-        self
-    }
-
-    /// Set the lane width for batched sweep windows. Clamped to
-    /// `1..=MAX_BATCH_LANES`; 1 selects the scalar per-point path. Every
-    /// lane of a batched window is bit-identical to a scalar solve of the
-    /// same point, so this knob changes throughput, never results.
-    pub fn set_batch_lanes(&mut self, lanes: usize) {
-        self.batch_lanes = lanes.clamp(1, MAX_BATCH_LANES);
-    }
-
-    /// Current lane width for batched sweep windows.
-    pub fn batch_lanes(&self) -> usize {
-        self.batch_lanes
-    }
-
     /// Route every miss-path run through the frozen `ReferenceNodeSim`
-    /// instead of the optimized pooled executor. This is the benchmark
-    /// baseline arm: reference runs construct a fresh simulator per point
-    /// (counted under `sims_created`) and never touch the pool or the
-    /// batched windows; the memo layers still apply.
+    /// instead of the optimized pooled executor. This is the oracle the
+    /// production path is tested against and the benchmark baseline arm:
+    /// reference runs construct a fresh simulator per point (counted under
+    /// `sims_created`), and sweeps solve point by point, never touching the
+    /// pool or the batched windows; the memo layers still apply.
     pub fn set_reference_executor(&mut self, on: bool) {
         self.reference = on;
     }
@@ -610,41 +578,6 @@ impl EvalEngine {
         self.simd
     }
 
-    /// Toggle batch-resident window execution (on by default). Off pins
-    /// the pre-resident per-lane sweep drivers — per-point submit/reset,
-    /// per-point memo probes, per-round outer bookkeeping — which are
-    /// bit-identical in results and kept as the frozen benchmark
-    /// comparator arm.
-    pub fn set_batch_resident(&mut self, on: bool) {
-        self.batch_resident = on;
-    }
-
-    /// True when batched sweep windows run batch-resident.
-    pub fn batch_resident(&self) -> bool {
-        self.batch_resident
-    }
-
-    /// Builder form of [`Self::set_warm_start`].
-    pub fn with_warm_start(mut self, on: bool) -> EvalEngine {
-        self.set_warm_start(on);
-        self
-    }
-
-    /// Toggle warm-started outer fixed points (off by default). When on,
-    /// batch-resident re-solves within a window seed their (θ, slow)
-    /// iterations from the previous converged fixed point instead of
-    /// (1, 1): the same solution within tolerance (property-tested), in
-    /// fewer outer rounds. Off is bit-identical to the scalar path, which
-    /// is why the golden results pin it off.
-    pub fn set_warm_start(&mut self, on: bool) {
-        self.warm_start = on;
-    }
-
-    /// True when warm-started outer fixed points are enabled.
-    pub fn warm_start(&self) -> bool {
-        self.warm_start
-    }
-
     /// Toggle [`PhaseBreakdown`] collection (off by default; timing never
     /// changes simulated results).
     pub fn set_phase_timing(&mut self, on: bool) {
@@ -654,11 +587,6 @@ impl EvalEngine {
     /// Drain the accumulated phase breakdown, resetting all buckets.
     pub fn take_phase_breakdown(&self) -> PhaseBreakdown {
         self.phases.take()
-    }
-
-    /// True when sweeps should solve cache misses in lane-wide batches.
-    fn batched(&self) -> bool {
-        self.batch_lanes > 1 && !self.reference
     }
 
     /// The telemetry recorder this engine (and every run driven through
@@ -812,88 +740,25 @@ impl EvalEngine {
         Ok((sim.take_finished(), makespan))
     }
 
-    /// Solve one window of cache-missed solo points in a single batched
-    /// rate solve. One pooled simulator per lane (accounted exactly like
-    /// the scalar path), one pooled [`BatchScratch`] per window; on any
-    /// failure the window's simulators are dropped, mirroring
-    /// [`Self::run_pooled`]'s error policy. Returns `(sweep index,
-    /// outcome)` per lane.
-    fn simulate_solo_window(
+    /// Solve a *span* of cache-missed sweep points as consecutive
+    /// [`MAX_BATCH_LANES`]-wide batched windows. The span's simulators and
+    /// batch scratch are checked out once, every window submits into the
+    /// resident lanes (`submit` loads one point into a reset simulator),
+    /// runs to completion, reads each lane back (`collect`) and resets lane
+    /// state in place — so the pool's lock and the multi-KB per-simulator
+    /// moves are paid once per span instead of once per window. Each lane
+    /// is bit-identical to a scalar run of its point; on any failure the
+    /// span's simulators are dropped, never pooled (the pool's
+    /// half-advanced-state policy). Results come back in span order.
+    fn simulate_span<P, R>(
         &self,
-        profile: &AppProfile,
-        input_mb: f64,
-        window: &[(usize, TuningConfig)],
-    ) -> Result<Vec<(usize, JobOutcome)>, EvalError> {
-        // Phase timing covers the same checkout/submit and return work the
-        // fused driver buckets, so the bench can compare shares per arm.
-        let t0 = self.phase_timing.then(Instant::now);
-        let mut sims = Vec::with_capacity(window.len());
-        // One template spec per window: the points differ only in their
-        // tuning config, so cloning the template skips re-deriving the
-        // label (a float format) for every lane.
-        let template = JobSpec::from_profile(profile.clone(), input_mb, window[0].1);
-        for &(_, cfg) in window {
-            let (mut sim, reused) = self.pool.acquire(&self.tb.node, &self.tb.fw);
-            if reused {
-                self.counters.sims_reused.inc();
-            } else {
-                self.counters.sims_created.inc();
-            }
-            let mut spec = template.clone();
-            spec.config = cfg;
-            sim.submit(spec)?;
-            sims.push(sim);
-        }
-        if let Some(t) = t0 {
-            self.phases
-                .submit_reset
-                .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
-        let mut scratch = self.pool.acquire_scratch();
-        scratch.set_simd_backend(self.simd);
-        // Pooled scratches remember their last flags; the legacy driver
-        // pins the pre-resident path so it stays an honest comparator.
-        scratch.set_batch_resident(false);
-        scratch.set_warm_start(false);
-        scratch.set_phase_timing(false);
-        let run = run_batch_to_completion(&mut sims, &mut scratch);
-        self.pool.release_scratch(scratch);
-        run?;
-        let t1 = self.phase_timing.then(Instant::now);
-        let mut out = Vec::with_capacity(window.len());
-        for (&(i, _), mut sim) in window.iter().zip(sims) {
-            let outcome = sim
-                .take_finished()
-                .pop()
-                .ok_or(SimError::Internal("one job submitted, none finished"))?;
-            self.pool.release(sim);
-            out.push((i, outcome));
-        }
-        if let Some(t) = t1 {
-            self.phases
-                .submit_reset
-                .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
-        Ok(out)
-    }
-
-    /// Batch-resident twin of [`Self::simulate_solo_window`], driving a
-    /// *span* of consecutive lane windows: the span's simulators and batch
-    /// scratch are checked out once, every window submits into the resident
-    /// lanes, runs to completion, and resets lane state in place — so the
-    /// pool's lock and the multi-KB per-simulator moves are paid once per
-    /// span instead of once per window. Per-lane results are bit-identical
-    /// to the legacy driver (warm starts, when enabled, change results only
-    /// within tolerance).
-    fn simulate_solo_span_fused(
-        &self,
-        profile: &AppProfile,
-        input_mb: f64,
-        span: &[(usize, TuningConfig)],
-    ) -> Result<Vec<(usize, JobOutcome)>, EvalError> {
+        span: &[P],
+        submit: impl Fn(&mut NodeSim, &P) -> Result<(), SimError>,
+        collect: impl Fn(&mut NodeSim, &P) -> Result<R, SimError>,
+    ) -> Result<Vec<R>, EvalError> {
         let mut sr_ns = 0u64;
         let t0 = self.phase_timing.then(Instant::now);
-        let width = span.len().min(self.batch_lanes);
+        let width = span.len().min(MAX_BATCH_LANES);
         let mut sims = Vec::with_capacity(width);
         let (reused, built) =
             self.pool
@@ -908,55 +773,35 @@ impl EvalEngine {
         if reused_runs > 0 {
             self.counters.sims_reused.add(reused_runs);
         }
-        let template = JobSpec::from_profile(profile.clone(), input_mb, span[0].1);
         if let Some(t) = t0 {
             sr_ns += t.elapsed().as_nanos() as u64;
         }
         let mut scratch = self.pool.acquire_scratch();
         scratch.set_simd_backend(self.simd);
-        scratch.set_batch_resident(true);
-        scratch.set_warm_start(self.warm_start);
         scratch.set_phase_timing(self.phase_timing);
         let mut out = Vec::with_capacity(span.len());
-        let mut failed: Option<EvalError> = None;
-        'span: for window in span.chunks(self.batch_lanes) {
-            let w = window.len();
-            let t = self.phase_timing.then(Instant::now);
-            for (sim, &(_, cfg)) in sims[..w].iter_mut().zip(window) {
-                let mut spec = template.clone();
-                spec.config = cfg;
-                if let Err(e) = sim.submit(spec) {
-                    failed = Some(e.into());
-                    break 'span;
+        let run = (|| -> Result<(), SimError> {
+            for window in span.chunks(MAX_BATCH_LANES) {
+                let w = window.len();
+                let t = self.phase_timing.then(Instant::now);
+                for (sim, p) in sims[..w].iter_mut().zip(window) {
+                    submit(sim, p)?;
+                }
+                if let Some(t) = t {
+                    sr_ns += t.elapsed().as_nanos() as u64;
+                }
+                run_batch_to_completion(&mut sims[..w], &mut scratch)?;
+                let t = self.phase_timing.then(Instant::now);
+                for (sim, p) in sims[..w].iter_mut().zip(window) {
+                    out.push(collect(sim, p)?);
+                    sim.reset();
+                }
+                if let Some(t) = t {
+                    sr_ns += t.elapsed().as_nanos() as u64;
                 }
             }
-            if let Some(t) = t {
-                sr_ns += t.elapsed().as_nanos() as u64;
-            }
-            if let Err(e) = run_batch_to_completion(&mut sims[..w], &mut scratch) {
-                failed = Some(e.into());
-                break 'span;
-            }
-            let t = self.phase_timing.then(Instant::now);
-            for (&(i, _), sim) in window.iter().zip(sims[..w].iter_mut()) {
-                // `pop_finished` leaves the finished list's capacity with
-                // the resident simulator (`take_finished` would steal it
-                // every run), and the in-place reset readies the lane for
-                // the next window without touching the pool.
-                match sim.pop_finished() {
-                    Some(outcome) => out.push((i, outcome)),
-                    None => {
-                        failed =
-                            Some(SimError::Internal("one job submitted, none finished").into());
-                        break 'span;
-                    }
-                }
-                sim.reset();
-            }
-            if let Some(t) = t {
-                sr_ns += t.elapsed().as_nanos() as u64;
-            }
-        }
+            Ok(())
+        })();
         if self.phase_timing {
             let p = scratch.take_phases();
             self.phases.solve.fetch_add(p.solve_ns, Ordering::Relaxed);
@@ -965,184 +810,8 @@ impl EvalEngine {
                 .event_loop
                 .fetch_add(p.event_ns, Ordering::Relaxed);
         }
-        self.pool.release_scratch(scratch);
-        if let Some(e) = failed {
-            // Simulators from a failed span are dropped, never shelved —
-            // the pool's half-advanced-state policy.
-            return Err(e);
-        }
-        let t1 = self.phase_timing.then(Instant::now);
-        self.pool.release_window(&mut sims);
-        if let Some(t) = t1 {
-            sr_ns += t.elapsed().as_nanos() as u64;
-        }
-        if sr_ns > 0 {
-            self.phases.submit_reset.fetch_add(sr_ns, Ordering::Relaxed);
-        }
-        Ok(out)
-    }
-
-    /// Solve one window of pair-sweep points in a single batched rate
-    /// solve — the pair twin of [`Self::simulate_solo_window`], with each
-    /// lane carrying one co-located pair.
-    fn simulate_pair_window(
-        &self,
-        a: &AppProfile,
-        input_a_mb: f64,
-        b: &AppProfile,
-        input_b_mb: f64,
-        window: &[PairConfig],
-    ) -> Result<Vec<PairRun>, EvalError> {
-        // Engine-side phase timing mirrors `simulate_solo_window`'s.
-        let t0 = self.phase_timing.then(Instant::now);
-        let mut sims = Vec::with_capacity(window.len());
-        // Template specs per window (see `simulate_solo_window`): lanes
-        // differ only in their tuning configs.
-        let ta = JobSpec::from_profile(a.clone(), input_a_mb, window[0].a);
-        let tb = JobSpec::from_profile(b.clone(), input_b_mb, window[0].b);
-        for &pc in window {
-            let (mut sim, reused) = self.pool.acquire(&self.tb.node, &self.tb.fw);
-            if reused {
-                self.counters.sims_reused.inc();
-            } else {
-                self.counters.sims_created.inc();
-            }
-            let (mut sa, mut sb) = (ta.clone(), tb.clone());
-            sa.config = pc.a;
-            sb.config = pc.b;
-            sim.submit(sa)?;
-            sim.submit(sb)?;
-            sims.push(sim);
-        }
-        if let Some(t) = t0 {
-            self.phases
-                .submit_reset
-                .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
-        let mut scratch = self.pool.acquire_scratch();
-        scratch.set_simd_backend(self.simd);
-        // Pin the pre-resident comparator path (see `simulate_solo_window`).
-        scratch.set_batch_resident(false);
-        scratch.set_warm_start(false);
-        scratch.set_phase_timing(false);
-        let run = run_batch_to_completion(&mut sims, &mut scratch);
         self.pool.release_scratch(scratch);
         run?;
-        let t1 = self.phase_timing.then(Instant::now);
-        let mut out = Vec::with_capacity(window.len());
-        for (&config, mut sim) in window.iter().zip(sims) {
-            let makespan_s = sim.now();
-            let outs = sim.take_finished();
-            self.pool.release(sim);
-            out.push(PairRun {
-                config,
-                metrics: PairMetrics {
-                    makespan_s,
-                    energy_j: outs.iter().map(|o| o.metrics.energy_j).sum(),
-                },
-            });
-        }
-        if let Some(t) = t1 {
-            self.phases
-                .submit_reset
-                .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
-        Ok(out)
-    }
-
-    /// Batch-resident twin of [`Self::simulate_pair_window`], driving a
-    /// span of consecutive lane windows with one co-located pair per lane.
-    /// See [`Self::simulate_solo_span_fused`] for the span structure (one
-    /// pool checkout per span, in-place lane resets between windows).
-    fn simulate_pair_span_fused(
-        &self,
-        a: &AppProfile,
-        input_a_mb: f64,
-        b: &AppProfile,
-        input_b_mb: f64,
-        span: &[PairConfig],
-    ) -> Result<Vec<PairRun>, EvalError> {
-        let mut sr_ns = 0u64;
-        let t0 = self.phase_timing.then(Instant::now);
-        let width = span.len().min(self.batch_lanes);
-        let mut sims = Vec::with_capacity(width);
-        let (reused, built) =
-            self.pool
-                .acquire_window(&self.tb.node, &self.tb.fw, width, &mut sims);
-        if built > 0 {
-            self.counters.sims_created.add(built);
-        }
-        let reused_runs = reused + (span.len() as u64).saturating_sub(width as u64);
-        if reused_runs > 0 {
-            self.counters.sims_reused.add(reused_runs);
-        }
-        // Templates are window-invariant (the label depends only on profile
-        // and input share; the config is overwritten per lane), so one pair
-        // per span serves every window.
-        let ta = JobSpec::from_profile(a.clone(), input_a_mb, span[0].a);
-        let tb = JobSpec::from_profile(b.clone(), input_b_mb, span[0].b);
-        if let Some(t) = t0 {
-            sr_ns += t.elapsed().as_nanos() as u64;
-        }
-        let mut scratch = self.pool.acquire_scratch();
-        scratch.set_simd_backend(self.simd);
-        scratch.set_batch_resident(true);
-        scratch.set_warm_start(self.warm_start);
-        scratch.set_phase_timing(self.phase_timing);
-        let mut out = Vec::with_capacity(span.len());
-        let mut failed: Option<EvalError> = None;
-        'span: for window in span.chunks(self.batch_lanes) {
-            let w = window.len();
-            let t = self.phase_timing.then(Instant::now);
-            for (sim, &pc) in sims[..w].iter_mut().zip(window) {
-                let (mut sa, mut sb) = (ta.clone(), tb.clone());
-                sa.config = pc.a;
-                sb.config = pc.b;
-                if let Err(e) = sim.submit(sa).and_then(|_| sim.submit(sb)) {
-                    failed = Some(e.into());
-                    break 'span;
-                }
-            }
-            if let Some(t) = t {
-                sr_ns += t.elapsed().as_nanos() as u64;
-            }
-            if let Err(e) = run_batch_to_completion(&mut sims[..w], &mut scratch) {
-                failed = Some(e.into());
-                break 'span;
-            }
-            let t = self.phase_timing.then(Instant::now);
-            for (&config, sim) in window.iter().zip(sims[..w].iter_mut()) {
-                let makespan_s = sim.now();
-                // Pair points only need the aggregate: the drain recycles
-                // the outcome buffers into the resident simulator instead
-                // of freeing them, summing energy in the same completion
-                // order as the legacy driver's caller-side sum; the reset
-                // readies the lane for the next window in place.
-                out.push(PairRun {
-                    config,
-                    metrics: PairMetrics {
-                        makespan_s,
-                        energy_j: sim.drain_finished_energy(),
-                    },
-                });
-                sim.reset();
-            }
-            if let Some(t) = t {
-                sr_ns += t.elapsed().as_nanos() as u64;
-            }
-        }
-        if self.phase_timing {
-            let p = scratch.take_phases();
-            self.phases.solve.fetch_add(p.solve_ns, Ordering::Relaxed);
-            self.phases.outer.fetch_add(p.outer_ns, Ordering::Relaxed);
-            self.phases
-                .event_loop
-                .fetch_add(p.event_ns, Ordering::Relaxed);
-        }
-        self.pool.release_scratch(scratch);
-        if let Some(e) = failed {
-            return Err(e);
-        }
         let t1 = self.phase_timing.then(Instant::now);
         self.pool.release_window(&mut sims);
         if let Some(t) = t1 {
@@ -1270,17 +939,19 @@ impl EvalEngine {
 
     /// Sweep the full standalone space (160 points on the 8-core node);
     /// runs are returned in sweep order. Every point is individually
-    /// memoized, so repeated sweeps re-simulate nothing; cache misses are
-    /// solved in lane-wide batched windows (see [`Self::set_batch_lanes`])
-    /// spread across rayon workers, each lane bit-identical to the scalar
-    /// per-point path.
+    /// memoized, so repeated sweeps re-simulate nothing. The memo is probed
+    /// and filled in bulk (grouped shard lookups, one counter delta per
+    /// sweep), and the misses are solved in [`MAX_BATCH_LANES`]-wide
+    /// batched windows spread across rayon workers, each lane bit-identical
+    /// to a scalar per-point run. Under the reference executor every miss
+    /// runs point by point instead.
     pub fn sweep_solo(
         &self,
         profile: &AppProfile,
         input_mb: f64,
     ) -> Result<Vec<SoloRun>, EvalError> {
         let configs: Vec<TuningConfig> = TuningConfig::space(self.tb.node.cores).collect();
-        if !self.batched() {
+        if self.reference {
             return configs
                 .into_par_iter()
                 .map(|config| {
@@ -1289,123 +960,99 @@ impl EvalEngine {
                 })
                 .collect();
         }
-        // Batched miss path. Probe the memo first — identical hit/miss
-        // accounting and keying to the scalar path — then solve only the
-        // misses, chunked into lane-wide windows. Batch-resident engines
-        // probe and insert the whole sweep in bulk (grouped shard lookups,
-        // one counter delta per sweep); the legacy comparator keeps the
-        // per-point traffic.
+        // Probe the memo first — identical hit/miss accounting and keying
+        // to the per-point path — then solve only the misses.
         let fp = fingerprint(profile);
-        let key_of = |cfg: TuningConfig| SoloKey {
-            fp,
-            mb: input_mb.to_bits(),
-            cfg,
-            slow: 1.0_f64.to_bits(),
-        };
+        let keys: Vec<SoloKey> = configs
+            .iter()
+            .map(|&cfg| SoloKey {
+                fp,
+                mb: input_mb.to_bits(),
+                cfg,
+                slow: 1.0_f64.to_bits(),
+            })
+            .collect();
         let mut metrics: Vec<Option<JobMetrics>> = vec![None; configs.len()];
         let mut missing: Vec<(usize, TuningConfig)> = Vec::new();
-        let keys: Vec<SoloKey> = configs.iter().map(|&cfg| key_of(cfg)).collect();
-        if self.batch_resident {
-            let t_memo = self.phase_timing.then(Instant::now);
-            let mut probed: Vec<Option<Arc<JobOutcome>>> = Vec::new();
-            self.solo.get_many(&keys, &mut probed);
-            let mut nh = 0u64;
-            for (i, cached) in probed.into_iter().enumerate() {
-                match cached {
-                    Some(out) => {
-                        nh += 1;
-                        self.recorder
-                            .emit(0.0, None, None, || Event::CacheHit { cache: "solo" });
-                        metrics[i] = Some(out.metrics);
-                    }
-                    None => {
-                        self.recorder
-                            .emit(0.0, None, None, || Event::CacheMiss { cache: "solo" });
-                        missing.push((i, configs[i]));
-                    }
+        let t_memo = self.phase_timing.then(Instant::now);
+        let mut probed: Vec<Option<Arc<JobOutcome>>> = Vec::new();
+        self.solo.get_many(&keys, &mut probed);
+        let mut nh = 0u64;
+        for (i, cached) in probed.into_iter().enumerate() {
+            match cached {
+                Some(out) => {
+                    nh += 1;
+                    self.recorder
+                        .emit(0.0, None, None, || Event::CacheHit { cache: "solo" });
+                    metrics[i] = Some(out.metrics);
+                }
+                None => {
+                    self.recorder
+                        .emit(0.0, None, None, || Event::CacheMiss { cache: "solo" });
+                    missing.push((i, configs[i]));
                 }
             }
-            // One delta per sweep; totals match the per-point path.
-            self.counters.hits.add(nh);
-            self.counters.misses.add(missing.len() as u64);
-            if let Some(t) = t_memo {
-                self.phases
-                    .memo
-                    .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            }
-        } else {
-            let t_memo = self.phase_timing.then(Instant::now);
-            for (i, &config) in configs.iter().enumerate() {
-                if let Some(cached) = self.solo.get(&keys[i]) {
-                    self.hit("solo");
-                    metrics[i] = Some(cached.metrics);
-                } else {
-                    self.miss("solo");
-                    missing.push((i, config));
-                }
-            }
-            if let Some(t) = t_memo {
-                self.phases
-                    .memo
-                    .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            }
+        }
+        // One delta per sweep; totals match the per-point path.
+        self.counters.hits.add(nh);
+        self.counters.misses.add(missing.len() as u64);
+        if let Some(t) = t_memo {
+            self.phases
+                .memo
+                .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
         if !missing.is_empty() {
             let t0 = Instant::now();
-            // Resident engines chunk the misses into multi-window spans
-            // (one pool checkout per span); the legacy comparator keeps
-            // per-window checkouts. Both chunkings are order-preserving
-            // over the same consecutive windows, so the flattened solve
-            // order — and every lane's window composition — is identical.
-            let chunk = if self.batch_resident {
-                self.batch_lanes * FUSED_WINDOWS_PER_SPAN
-            } else {
-                self.batch_lanes
-            };
-            let windows: Vec<Vec<(usize, TuningConfig)>> =
-                missing.chunks(chunk).map(<[_]>::to_vec).collect();
-            let solved: Vec<Vec<(usize, JobOutcome)>> = windows
+            // Multi-window spans (one pool checkout each); the shim's map
+            // is order-preserving, so flattening restores sweep order.
+            let spans: Vec<Vec<(usize, TuningConfig)>> = missing
+                .chunks(MAX_BATCH_LANES * WINDOWS_PER_SPAN)
+                .map(<[_]>::to_vec)
+                .collect();
+            let solved: Vec<Vec<(usize, JobOutcome)>> = spans
                 .into_par_iter()
-                .map(|window| {
-                    if self.batch_resident {
-                        self.simulate_solo_span_fused(profile, input_mb, &window)
-                    } else {
-                        self.simulate_solo_window(profile, input_mb, &window)
-                    }
+                .map(|span| {
+                    // One template per span: points differ only in their
+                    // tuning config, so a lane's spec is a refcount-bump
+                    // clone with the config overwritten.
+                    let template = JobSpec::from_profile(profile.clone(), input_mb, span[0].1);
+                    self.simulate_span(
+                        &span,
+                        |sim, &(_, cfg)| {
+                            let mut spec = template.clone();
+                            spec.config = cfg;
+                            sim.submit(spec).map(drop)
+                        },
+                        // `pop_finished` leaves the finished list's capacity
+                        // with the resident simulator (`take_finished` would
+                        // steal it every run).
+                        |sim, &(i, _)| {
+                            sim.pop_finished()
+                                .map(|outcome| (i, outcome))
+                                .ok_or(SimError::Internal("one job submitted, none finished"))
+                        },
+                    )
                 })
                 .collect::<Result<_, EvalError>>()?;
             self.charge(missing.len() as u64, t0.elapsed().as_nanos() as u64);
-            if self.batch_resident {
-                let t_memo = self.phase_timing.then(Instant::now);
-                let mut idxs: Vec<usize> = Vec::new();
-                let mut entries: Vec<(SoloKey, Arc<JobOutcome>)> = Vec::new();
-                for (i, out) in solved.into_iter().flatten() {
-                    idxs.push(i);
-                    entries.push((keys[i], Arc::new(out)));
-                }
-                // Bulk insert under one lock acquisition per touched shard;
-                // first-insert-wins exactly like `insert_or_keep`.
-                let mut stored: Vec<Arc<JobOutcome>> = Vec::new();
-                self.solo.insert_many(&entries, &mut stored);
-                for (&i, out) in idxs.iter().zip(&stored) {
-                    metrics[i] = Some(out.metrics);
-                }
-                if let Some(t) = t_memo {
-                    self.phases
-                        .memo
-                        .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                }
-            } else {
-                let t_memo = self.phase_timing.then(Instant::now);
-                for (i, out) in solved.into_iter().flatten() {
-                    let out = self.solo.insert_or_keep(keys[i], Arc::new(out));
-                    metrics[i] = Some(out.metrics);
-                }
-                if let Some(t) = t_memo {
-                    self.phases
-                        .memo
-                        .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                }
+            let t_memo = self.phase_timing.then(Instant::now);
+            let mut idxs: Vec<usize> = Vec::new();
+            let mut entries: Vec<(SoloKey, Arc<JobOutcome>)> = Vec::new();
+            for (i, out) in solved.into_iter().flatten() {
+                idxs.push(i);
+                entries.push((keys[i], Arc::new(out)));
+            }
+            // Bulk insert under one lock acquisition per touched shard;
+            // first-insert-wins exactly like `insert_or_keep`.
+            let mut stored: Vec<Arc<JobOutcome>> = Vec::new();
+            self.solo.insert_many(&entries, &mut stored);
+            for (&i, out) in idxs.iter().zip(&stored) {
+                metrics[i] = Some(out.metrics);
+            }
+            if let Some(t) = t_memo {
+                self.phases
+                    .memo
+                    .fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
             }
         }
         configs
@@ -1566,31 +1213,7 @@ impl EvalEngine {
         let t0 = Instant::now();
         let configs = PairConfig::space(self.tb.node.cores);
         let n = configs.len() as u64;
-        let runs: Vec<PairRun> = if self.batched() {
-            // Partition the space into lane-wide windows (grouped into
-            // multi-window spans on the resident path — same consecutive
-            // windows, one pool checkout per span); the shim's map is
-            // order-preserving, so flattening restores sweep order.
-            let chunk = if self.batch_resident {
-                self.batch_lanes * FUSED_WINDOWS_PER_SPAN
-            } else {
-                self.batch_lanes
-            };
-            let windows: Vec<Vec<PairConfig>> = configs.chunks(chunk).map(<[_]>::to_vec).collect();
-            windows
-                .into_par_iter()
-                .map(|window| {
-                    if self.batch_resident {
-                        self.simulate_pair_span_fused(sa, sa_mb, sb, sb_mb, &window)
-                    } else {
-                        self.simulate_pair_window(sa, sa_mb, sb, sb_mb, &window)
-                    }
-                })
-                .collect::<Result<Vec<Vec<PairRun>>, EvalError>>()?
-                .into_iter()
-                .flatten()
-                .collect()
-        } else {
+        let runs: Vec<PairRun> = if self.reference {
             configs
                 .into_par_iter()
                 .map(|config| {
@@ -1598,6 +1221,47 @@ impl EvalEngine {
                         .map(|metrics| PairRun { config, metrics })
                 })
                 .collect::<Result<_, EvalError>>()?
+        } else {
+            // Multi-window spans of lane-wide windows, one pool checkout
+            // per span; the shim's map is order-preserving, so flattening
+            // restores sweep order.
+            let spans: Vec<Vec<PairConfig>> = configs
+                .chunks(MAX_BATCH_LANES * WINDOWS_PER_SPAN)
+                .map(<[_]>::to_vec)
+                .collect();
+            spans
+                .into_par_iter()
+                .map(|span| {
+                    let ta = JobSpec::from_profile(sa.clone(), sa_mb, span[0].a);
+                    let tb = JobSpec::from_profile(sb.clone(), sb_mb, span[0].b);
+                    self.simulate_span(
+                        &span,
+                        |sim, pc| {
+                            let (mut ja, mut jb) = (ta.clone(), tb.clone());
+                            ja.config = pc.a;
+                            jb.config = pc.b;
+                            sim.submit(ja)?;
+                            sim.submit(jb).map(drop)
+                        },
+                        // Pair points only need the aggregate: the drain
+                        // recycles the outcome buffers into the resident
+                        // simulator, summing energy in completion order
+                        // like the per-point path's caller-side sum.
+                        |sim, &config| {
+                            Ok(PairRun {
+                                config,
+                                metrics: PairMetrics {
+                                    makespan_s: sim.now(),
+                                    energy_j: sim.drain_finished_energy(),
+                                },
+                            })
+                        },
+                    )
+                })
+                .collect::<Result<Vec<Vec<PairRun>>, EvalError>>()?
+                .into_iter()
+                .flatten()
+                .collect()
         };
         self.charge(n, t0.elapsed().as_nanos() as u64);
         let runs = self.sweeps.insert_or_keep(key, Arc::new(runs));
@@ -2009,27 +1673,38 @@ mod tests {
         assert_eq!(count("fallback"), s.fallbacks);
     }
 
+    /// The frozen reference executor: the oracle every production sweep
+    /// is pinned to.
+    fn oracle() -> EvalEngine {
+        let mut eng = EvalEngine::atom();
+        eng.set_reference_executor(true);
+        eng
+    }
+
     #[test]
-    fn batched_solo_sweep_is_bit_identical_to_scalar_at_every_lane_width() {
-        let scalar = EvalEngine::atom().with_batch_lanes(1);
+    fn production_solo_sweep_is_bit_identical_to_the_reference_executor() {
         let p = App::Gp.profile();
         let mb = InputSize::Small.per_node_mb();
-        let want = scalar.sweep_solo(p, mb).unwrap();
-        for lanes in [2, 3, 8] {
-            let eng = EvalEngine::atom().with_batch_lanes(lanes);
-            assert_eq!(eng.batch_lanes(), lanes);
+        let want = oracle().sweep_solo(p, mb).unwrap();
+        for simd in [true, false] {
+            let eng = EvalEngine::atom().with_simd(simd);
             let got = eng.sweep_solo(p, mb).unwrap();
             assert_eq!(got.len(), want.len());
             for (g, w) in got.iter().zip(&want) {
                 assert_eq!(g.config, w.config);
                 assert_eq!(
                     g.metrics.exec_time_s.to_bits(),
-                    w.metrics.exec_time_s.to_bits()
+                    w.metrics.exec_time_s.to_bits(),
+                    "simd {simd}"
                 );
                 assert_eq!(g.metrics.energy_j.to_bits(), w.metrics.energy_j.to_bits());
+                assert_eq!(
+                    g.metrics.avg_power_w.to_bits(),
+                    w.metrics.avg_power_w.to_bits()
+                );
             }
-            // Same memo/telemetry contract as the scalar sweep: one miss
-            // per point, every point charged, all hits on a re-sweep.
+            // Same memo/telemetry contract as the per-point oracle: one
+            // miss per point, every point charged, all hits on a re-sweep.
             let s = eng.stats();
             assert_eq!(s.misses as usize, want.len());
             assert_eq!(s.runs_simulated as usize, want.len());
@@ -2043,28 +1718,30 @@ mod tests {
     }
 
     #[test]
-    fn batched_pair_sweep_is_bit_identical_to_scalar() {
-        let scalar = EvalEngine::atom().with_batch_lanes(1);
-        let batched = EvalEngine::atom();
-        assert_eq!(batched.batch_lanes(), ecost_mapreduce::MAX_BATCH_LANES);
+    fn production_pair_sweep_is_bit_identical_to_the_reference_executor() {
         let a = App::Wc.profile();
         let b = App::St.profile();
         let mb = InputSize::Small.per_node_mb();
-        let want = scalar.pair_sweep(a, mb, b, mb).unwrap();
-        let got = batched.pair_sweep(a, mb, b, mb).unwrap();
-        assert_eq!(got.len(), want.len());
-        for (g, w) in got.runs().iter().zip(want.runs().iter()) {
-            assert_eq!(g.config, w.config);
-            assert_eq!(
-                g.metrics.makespan_s.to_bits(),
-                w.metrics.makespan_s.to_bits()
-            );
-            assert_eq!(g.metrics.energy_j.to_bits(), w.metrics.energy_j.to_bits());
+        let want = oracle().pair_sweep(a, mb, b, mb).unwrap();
+        for simd in [true, false] {
+            let eng = EvalEngine::atom().with_simd(simd);
+            let got = eng.pair_sweep(a, mb, b, mb).unwrap();
+            assert_eq!(got.len(), want.len());
+            assert_eq!(got.swapped(), want.swapped());
+            for (g, w) in got.runs().iter().zip(want.runs().iter()) {
+                assert_eq!(g.config, w.config);
+                assert_eq!(
+                    g.metrics.makespan_s.to_bits(),
+                    w.metrics.makespan_s.to_bits(),
+                    "simd {simd}"
+                );
+                assert_eq!(g.metrics.energy_j.to_bits(), w.metrics.energy_j.to_bits());
+            }
+            let s = eng.stats();
+            assert_eq!(s.runs_simulated as usize, want.len());
+            assert_eq!(s.sims_created + s.sims_reused, s.runs_simulated);
+            assert_eq!(eng.pooled_sims() as u64, s.sims_created);
         }
-        let s = batched.stats();
-        assert_eq!(s.runs_simulated as usize, want.len());
-        assert_eq!(s.sims_created + s.sims_reused, s.runs_simulated);
-        assert_eq!(batched.pooled_sims() as u64, s.sims_created);
     }
 
     #[test]
@@ -2088,15 +1765,6 @@ mod tests {
         assert_eq!(s.sims_created, 1);
         assert_eq!(s.sims_reused, 0);
         assert_eq!(reference.pooled_sims(), 0);
-    }
-
-    #[test]
-    fn batch_lane_width_is_clamped() {
-        let mut eng = EvalEngine::atom();
-        eng.set_batch_lanes(0);
-        assert_eq!(eng.batch_lanes(), 1);
-        eng.set_batch_lanes(usize::MAX);
-        assert_eq!(eng.batch_lanes(), ecost_mapreduce::MAX_BATCH_LANES);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use ecost_mapreduce::reference::ReferenceNodeSim;
 use ecost_mapreduce::{
     run_batch_to_completion, BatchScratch, BlockSize, FrameworkSpec, JobSpec, TuningConfig,
 };
-use ecost_sim::{AmvaBatch, AmvaScratch, ClassDemand, Frequency, NodeSpec, SimdBackend};
+use ecost_sim::{AmvaBatch, AmvaScratch, ClassDemand, Frequency, NodeSpec, SimError, SimdBackend};
 use proptest::prelude::*;
 
 fn arb_app() -> impl Strategy<Value = App> {
@@ -224,29 +224,24 @@ proptest! {
     }
 }
 
-/// A random (but always valid) multiclass AMVA problem: 1–3 classes over
-/// 1–4 stations. Each class's first demand is forced positive so every
+/// A *shape-uniform* batch problem: one (stations, class-count) pair per
+/// case, shared by every lane — the only shape an `AmvaBatch` resident
+/// window accepts. Each class's first demand is forced positive so every
 /// generated problem passes validation regardless of population.
-fn arb_amva_problem() -> impl Strategy<Value = (Vec<ClassDemand>, usize)> {
-    (
-        1usize..=4,
-        1usize..=3,
-        prop::collection::vec(
+fn arb_uniform_batch() -> impl Strategy<Value = (Vec<Vec<ClassDemand>>, usize)> {
+    (1usize..=4, 1usize..=3).prop_flat_map(|(stations, nc)| {
+        let lane = prop::collection::vec(
             (
                 0.0f64..8.0,
                 0.0f64..5.0,
-                prop::collection::vec(0.0f64..2.0, 4),
+                prop::collection::vec(0.0f64..2.0, stations),
                 0.05f64..2.0,
             ),
-            3,
-        ),
-    )
-        .prop_map(|(stations, nc, raw)| {
-            let classes = raw
-                .into_iter()
-                .take(nc)
+            nc,
+        )
+        .prop_map(move |raw| {
+            raw.into_iter()
                 .map(|(population, think_time_s, mut demands_s, d0)| {
-                    demands_s.truncate(stations);
                     demands_s[0] = d0;
                     ClassDemand {
                         population,
@@ -254,34 +249,41 @@ fn arb_amva_problem() -> impl Strategy<Value = (Vec<ClassDemand>, usize)> {
                         demands_s,
                     }
                 })
-                .collect();
-            (classes, stations)
-        })
+                .collect::<Vec<ClassDemand>>()
+        });
+        (prop::collection::vec(lane, 1..=16), Just(stations))
+    })
+}
+
+/// Open a resident window over `probs` and solve every lane once.
+fn solve_all(batch: &mut AmvaBatch, probs: &[(&[ClassDemand], usize)]) -> Result<(), SimError> {
+    batch.begin_window(probs)?;
+    let live: Vec<usize> = (0..probs.len()).collect();
+    batch.solve_window(probs, &live)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random point sets through `AmvaBatch` at every lane width 1..=16:
-    /// throughputs, queues, per-station figures and iteration counts are
-    /// bit-equal to a scalar `AmvaScratch::solve` of each point alone.
-    /// Widths 1..=16 cover full f64x4 vector windows, every scalar-tail
-    /// residue (1, 2, 3 mod 4) and the single-lane degenerate case.
+    /// Random point sets through `AmvaBatch` resident windows at every lane
+    /// width 1..=16: throughputs, queues, per-station figures and iteration
+    /// counts are bit-equal to a scalar `AmvaScratch::solve` of each point
+    /// alone. Widths 1..=16 cover full f64x4 vector windows, every
+    /// scalar-tail residue (1, 2, 3 mod 4) and the single-lane windows the
+    /// executor uses for singleton shape groups.
     #[test]
     fn amva_batch_matches_scalar_at_every_lane_width(
-        problems in prop::collection::vec(arb_amva_problem(), 1..=16)
+        (problems, stations) in arb_uniform_batch()
     ) {
         for width in 1..=16usize {
             let mut batch = AmvaBatch::new();
             for window in problems.chunks(width) {
-                let probs: Vec<(&[ClassDemand], usize)> = window
-                    .iter()
-                    .map(|(c, s)| (c.as_slice(), *s))
-                    .collect();
-                let batch_res = batch.solve(&probs);
-                for (i, (classes, stations)) in window.iter().enumerate() {
+                let probs: Vec<(&[ClassDemand], usize)> =
+                    window.iter().map(|c| (c.as_slice(), stations)).collect();
+                let batch_res = solve_all(&mut batch, &probs);
+                for (i, classes) in window.iter().enumerate() {
                     let mut scalar = AmvaScratch::new();
-                    match scalar.solve(classes, *stations) {
+                    match scalar.solve(classes, stations) {
                         Ok(()) => {
                             let lane = batch.lane(i);
                             prop_assert_eq!(
@@ -293,14 +295,14 @@ proptest! {
                                     lane.throughput()[j].to_bits(),
                                     scalar.throughput()[j].to_bits()
                                 );
-                                for s in 0..*stations {
+                                for s in 0..stations {
                                     prop_assert_eq!(
                                         lane.queue(j, s).to_bits(),
                                         scalar.queue(j, s).to_bits()
                                     );
                                 }
                             }
-                            for s in 0..*stations {
+                            for s in 0..stations {
                                 prop_assert_eq!(
                                     lane.station_util()[s].to_bits(),
                                     scalar.station_util()[s].to_bits()
@@ -384,200 +386,61 @@ proptest! {
     }
 }
 
-/// Relative tolerance for warm-started outer fixed points. The outer loop
-/// breaks on a residual `< 1e-5` under 0.5 damping, so two runs entering
-/// the basin from different seeds agree on θ and the slow factor to about
-/// that order; downstream metrics (walls, energies) amplify it modestly.
-/// 1e-3 gives two orders of headroom while still catching a warm start
-/// that lands on a *different* fixed point.
-const WARM_START_REL_TOL: f64 = 1e-3;
-
-fn rel_close(a: f64, b: f64) -> bool {
-    (a - b).abs() <= WARM_START_REL_TOL * a.abs().max(b.abs()).max(1.0)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The batch-resident driver (lockstep outer rounds over a SoA window,
-    /// epoch-stamped lane state, converged-lane compaction) is bit-identical
-    /// to the frozen pre-resident lockstep driver for any window of up to
-    /// 16 mixed-shape plans — the contract that keeps the `results/`
-    /// goldens byte-stable with the resident path on by default.
-    #[test]
-    fn resident_windows_match_the_lockstep_driver(
-        plans in prop::collection::vec(arb_plan(), 1..=16)
-    ) {
-        let mut lockstep_sims = Vec::new();
-        let mut resident_sims = Vec::new();
-        // A plan whose setup is rejected never reaches a window; skip the
-        // case (both drivers would reject identically at setup time).
-        let mut setup_ok = true;
-        for plan in &plans {
-            let mut a = NodeSim::new(NodeSpec::atom_c2758(), FrameworkSpec::default());
-            let mut b = NodeSim::new(NodeSpec::atom_c2758(), FrameworkSpec::default());
-            if setup_new(&mut a, plan).is_err() || setup_new(&mut b, plan).is_err() {
-                setup_ok = false;
-                break;
-            }
-            lockstep_sims.push(a);
-            resident_sims.push(b);
-        }
-        if setup_ok {
-            let mut lockstep_scratch = BatchScratch::new();
-            lockstep_scratch.set_batch_resident(false);
-            let mut resident_scratch = BatchScratch::new();
-            resident_scratch.set_batch_resident(true);
-            let lockstep = run_batch_to_completion(&mut lockstep_sims, &mut lockstep_scratch);
-            let resident = run_batch_to_completion(&mut resident_sims, &mut resident_scratch);
-            prop_assert_eq!(lockstep.is_ok(), resident.is_ok());
-            if lockstep.is_ok() {
-                for (a, b) in lockstep_sims.iter_mut().zip(resident_sims.iter_mut()) {
-                    prop_assert_eq!(fingerprint_of(a), fingerprint_of(b));
-                }
-            }
-        }
-    }
-
-    /// Warm-started windows (re-solves seeded from the previous converged
-    /// (θ, slow) instead of (1, 1)) land on the same outer fixed point
-    /// within [`WARM_START_REL_TOL`] for every window width 1..=16 — the
-    /// property that licenses the opt-in `EvalEngine::with_warm_start` arm.
-    #[test]
-    fn warm_started_windows_converge_to_the_same_fixed_point(
-        plans in prop::collection::vec(arb_plan(), 1..=16)
-    ) {
-        let mut cold_sims = Vec::new();
-        let mut warm_sims = Vec::new();
-        let mut setup_ok = true;
-        for plan in &plans {
-            let mut a = NodeSim::new(NodeSpec::atom_c2758(), FrameworkSpec::default());
-            let mut b = NodeSim::new(NodeSpec::atom_c2758(), FrameworkSpec::default());
-            if setup_new(&mut a, plan).is_err() || setup_new(&mut b, plan).is_err() {
-                setup_ok = false;
-                break;
-            }
-            cold_sims.push(a);
-            warm_sims.push(b);
-        }
-        if setup_ok {
-            let mut cold_scratch = BatchScratch::new();
-            cold_scratch.set_batch_resident(true);
-            cold_scratch.set_warm_start(false);
-            let mut warm_scratch = BatchScratch::new();
-            warm_scratch.set_batch_resident(true);
-            warm_scratch.set_warm_start(true);
-            let cold = run_batch_to_completion(&mut cold_sims, &mut cold_scratch);
-            let warm = run_batch_to_completion(&mut warm_sims, &mut warm_scratch);
-            prop_assert_eq!(cold.is_ok(), warm.is_ok());
-            if cold.is_ok() {
-                for (a, b) in cold_sims.iter_mut().zip(warm_sims.iter_mut()) {
-                    prop_assert!(rel_close(a.now(), b.now()),
-                        "makespan {} vs {}", a.now(), b.now());
-                    prop_assert!(rel_close(a.energy_j(), b.energy_j()),
-                        "energy {} vs {}", a.energy_j(), b.energy_j());
-                    let (oa, ob) = (a.take_finished(), b.take_finished());
-                    prop_assert_eq!(oa.len(), ob.len());
-                    for (x, y) in oa.iter().zip(&ob) {
-                        prop_assert_eq!(x.id, y.id);
-                        prop_assert!(
-                            rel_close(x.metrics.exec_time_s, y.metrics.exec_time_s),
-                            "exec {} vs {}", x.metrics.exec_time_s, y.metrics.exec_time_s
-                        );
-                        prop_assert!(
-                            rel_close(x.metrics.energy_j, y.metrics.energy_j),
-                            "job energy {} vs {}", x.metrics.energy_j, y.metrics.energy_j
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// A *shape-uniform* batch problem: one (stations, class-count) pair per
-/// case, shared by every lane, so `AmvaBatch` takes the lane-interleaved
-/// SoA kernel — the path the f64x4 backends vectorize — rather than the
-/// mixed-shape whole-lane rotation.
-fn arb_uniform_batch() -> impl Strategy<Value = (Vec<Vec<ClassDemand>>, usize)> {
-    (1usize..=4, 1usize..=3).prop_flat_map(|(stations, nc)| {
-        let lane = prop::collection::vec(
-            (
-                0.0f64..8.0,
-                0.0f64..5.0,
-                prop::collection::vec(0.0f64..2.0, stations),
-                0.05f64..2.0,
-            ),
-            nc,
-        )
-        .prop_map(move |raw| {
-            raw.into_iter()
-                .map(|(population, think_time_s, mut demands_s, d0)| {
-                    demands_s[0] = d0;
-                    ClassDemand {
-                        population,
-                        think_time_s,
-                        demands_s,
-                    }
-                })
-                .collect::<Vec<ClassDemand>>()
-        });
-        (prop::collection::vec(lane, 1..=16), Just(stations))
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The detected SIMD backend is bit-identical to the pinned-scalar
-    /// backend on shape-uniform windows of every width 1..=16 — the
-    /// DESIGN.md §11 contract the vector kernel must uphold: same Result,
-    /// same iteration counts, same bits in every throughput, queue and
-    /// per-station figure.
+    /// backend on shape-uniform resident windows of every width 1..=16 —
+    /// the DESIGN.md §11 contract the vector kernel must uphold: same
+    /// Result, same iteration counts, same bits in every throughput, queue
+    /// and per-station figure.
     #[test]
     fn simd_backend_is_bit_identical_to_scalar_backend(
         (lanes, stations) in arb_uniform_batch()
     ) {
-        let probs: Vec<(&[ClassDemand], usize)> = lanes
-            .iter()
-            .map(|c| (c.as_slice(), stations))
-            .collect();
-
         let mut vec_batch = AmvaBatch::new();
         vec_batch.set_simd_backend(SimdBackend::detect());
         let mut sc_batch = AmvaBatch::new();
         sc_batch.set_simd_backend(SimdBackend::Scalar);
 
-        let vr = vec_batch.solve(&probs);
-        let sr = sc_batch.solve(&probs);
-        prop_assert_eq!(vr.is_ok(), sr.is_ok(), "Result divergence");
+        for width in 1..=16usize {
+            for window in lanes.chunks(width) {
+                let probs: Vec<(&[ClassDemand], usize)> = window
+                    .iter()
+                    .map(|c| (c.as_slice(), stations))
+                    .collect();
+                let vr = solve_all(&mut vec_batch, &probs);
+                let sr = solve_all(&mut sc_batch, &probs);
+                prop_assert_eq!(vr.is_ok(), sr.is_ok(), "Result divergence");
 
-        if vr.is_ok() {
-            for (i, classes) in lanes.iter().enumerate() {
-                let vl = vec_batch.lane(i);
-                let sl = sc_batch.lane(i);
-                prop_assert_eq!(vl.iterations(), sl.iterations(), "lane {}", i);
-                for j in 0..classes.len() {
-                    prop_assert_eq!(
-                        vl.throughput()[j].to_bits(),
-                        sl.throughput()[j].to_bits()
-                    );
-                    for s in 0..stations {
-                        prop_assert_eq!(
-                            vl.queue(j, s).to_bits(),
-                            sl.queue(j, s).to_bits()
-                        );
+                if vr.is_ok() {
+                    for (i, classes) in window.iter().enumerate() {
+                        let vl = vec_batch.lane(i);
+                        let sl = sc_batch.lane(i);
+                        prop_assert_eq!(vl.iterations(), sl.iterations(), "lane {}", i);
+                        for j in 0..classes.len() {
+                            prop_assert_eq!(
+                                vl.throughput()[j].to_bits(),
+                                sl.throughput()[j].to_bits()
+                            );
+                            for s in 0..stations {
+                                prop_assert_eq!(
+                                    vl.queue(j, s).to_bits(),
+                                    sl.queue(j, s).to_bits()
+                                );
+                            }
+                        }
+                        for s in 0..stations {
+                            prop_assert_eq!(
+                                vl.station_util()[s].to_bits(),
+                                sl.station_util()[s].to_bits()
+                            );
+                            prop_assert_eq!(
+                                vl.station_queue()[s].to_bits(),
+                                sl.station_queue()[s].to_bits()
+                            );
+                        }
                     }
-                }
-                for s in 0..stations {
-                    prop_assert_eq!(
-                        vl.station_util()[s].to_bits(),
-                        sl.station_util()[s].to_bits()
-                    );
-                    prop_assert_eq!(
-                        vl.station_queue()[s].to_bits(),
-                        sl.station_queue()[s].to_bits()
-                    );
                 }
             }
         }

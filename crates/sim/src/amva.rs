@@ -376,7 +376,8 @@ pub fn solve(classes: &[ClassDemand], stations: usize) -> Result<AmvaSolution, S
     Ok(scratch.to_solution())
 }
 
-/// Lane-interleaved batch of *independent* AMVA solves.
+/// Lane-interleaved batch of *independent* AMVA solves over one
+/// shape-uniform *resident window*.
 ///
 /// `K` unrelated fixed points advance in lockstep: each global round runs
 /// one Bard–Schweitzer iteration in every still-unconverged lane. A lane's
@@ -385,62 +386,51 @@ pub fn solve(classes: &[ClassDemand], stations: usize) -> Result<AmvaSolution, S
 /// but *across* lanes the rounds are independent, so interleaving them lets
 /// out-of-order execution overlap the chains.
 ///
-/// Each lane runs the exact scalar [`AmvaScratch::solve`] sequence: same
+/// [`AmvaBatch::begin_window`] validates a window of lanes that share one
+/// class × station shape; each [`AmvaBatch::solve_window`] then runs the
+/// exact scalar [`AmvaScratch::solve`] sequence in every live lane: same
 /// seed, same per-iteration arithmetic order, same damping, same
 /// convergence test and iteration count. Converged (or failed) lanes are
-/// masked out of later rounds and never re-touched. Every lane is therefore
-/// bit-identical to a scalar solve of the same problem.
+/// compacted out of later rounds and never re-touched. Every lane is
+/// therefore bit-identical to a scalar solve of the same problem, at any
+/// width from 1 to the caller's lane cap.
 ///
 /// Lane buffers grow on first use and are reused afterwards; a warm batch
 /// allocates nothing as long as problem sizes do not grow.
 ///
-/// On shape-uniform windows the lane loop runs on an explicit `f64x4`
-/// vector backend ([`SimdBackend`], auto-detected; see `crate::simd`):
-/// four adjacent columns advance per vector step, with the odd tail
-/// (live width ≢ 0 mod 4) taking the scalar lane loop. Backends are
-/// bit-identical by construction, so the choice never shows up in
-/// results — only in throughput.
+/// The lane loop runs on an explicit `f64x4` vector backend
+/// ([`SimdBackend`], auto-detected; see `crate::simd`): four adjacent
+/// columns advance per vector step, with the odd tail (live width ≢ 0
+/// mod 4) taking the scalar lane loop. Backends are bit-identical by
+/// construction, so the choice never shows up in results — only in
+/// throughput.
 #[derive(Debug)]
 pub struct AmvaBatch {
     lanes: Vec<AmvaScratch>,
-    done: Vec<bool>,
     residual: Vec<f64>,
-    errs: Vec<Option<SimError>>,
     soa: Soa,
     backend: SimdBackend,
-    win: WindowState,
+    /// `(classes, stations, width)` of the open window; `None` when no
+    /// window is open.
+    ///
+    /// No queue seed is stored: `begin`'s population spread depends only
+    /// on each class's population and the *signs* of its demands — both
+    /// fixed across a window's solves — so [`Soa::pack_window`] recomputes
+    /// it in place each solve with the same expression (and therefore the
+    /// same bits), even after [`Soa::retire`] scrambles the working columns.
+    shape: Option<(usize, usize, usize)>,
 }
 
 impl Default for AmvaBatch {
     fn default() -> AmvaBatch {
         AmvaBatch {
             lanes: Vec::new(),
-            done: Vec::new(),
             residual: Vec::new(),
-            errs: Vec::new(),
             soa: Soa::default(),
             backend: SimdBackend::detect(),
-            win: WindowState::default(),
+            shape: None,
         }
     }
-}
-
-/// Resident-window state for [`AmvaBatch::begin_window`] /
-/// [`AmvaBatch::solve_window`]: the shape of the open shape-uniform
-/// window, validated once so re-solves of the same window skip
-/// per-round validation entirely.
-///
-/// No queue seed is stored: `begin`'s population spread depends only on
-/// each class's population and the *signs* of its demands — both
-/// outer-invariant for the contention fixed point driving this API — so
-/// [`Soa::pack_window`] recomputes it in place each round with the same
-/// expression (and therefore the same bits), even after [`Soa::retire`]
-/// scrambles the working columns.
-#[derive(Debug, Default)]
-struct WindowState {
-    /// `(classes, stations, width)` of the open window; `None` when no
-    /// window is open.
-    shape: Option<(usize, usize, usize)>,
 }
 
 /// Structure-of-arrays state for shape-uniform windows: every per-lane
@@ -489,64 +479,6 @@ struct Soa {
 }
 
 impl Soa {
-    /// Load one column per still-live lane (validation already done by
-    /// `begin`, whose scalar queue seed is copied in verbatim). Returns
-    /// the live width.
-    fn pack(
-        &mut self,
-        problems: &[(&[ClassDemand], usize)],
-        lanes: &[AmvaScratch],
-        done: &[bool],
-        nc: usize,
-        stations: usize,
-    ) -> usize {
-        self.lane_of.clear();
-        for (i, d) in done.iter().enumerate() {
-            if !d {
-                self.lane_of.push(i);
-            }
-        }
-        let kw = self.lane_of.len();
-        self.stride = kw;
-        self.q.clear();
-        self.q.resize(nc * stations * kw, 0.0);
-        self.dem.clear();
-        self.dem.resize(nc * stations * kw, 0.0);
-        self.x.clear();
-        self.x.resize(nc * kw, 0.0);
-        self.pop.clear();
-        self.pop.resize(nc * kw, 0.0);
-        self.nm1.clear();
-        self.nm1.resize(nc * kw, 0.0);
-        self.think.clear();
-        self.think.resize(nc * kw, 0.0);
-        self.qtot.clear();
-        self.qtot.resize(stations * kw, 0.0);
-        self.r.clear();
-        self.r.resize(stations * kw, 0.0);
-        self.rtot.clear();
-        self.rtot.resize(kw, 0.0);
-        self.res.clear();
-        self.res.resize(kw, 0.0);
-        self.iters.clear();
-        self.iters.resize(kw, 0);
-        for (col, &lane) in self.lane_of.iter().enumerate() {
-            let classes = problems[lane].0;
-            for (j, c) in classes.iter().enumerate() {
-                let cb = j * kw;
-                self.pop[cb + col] = c.population;
-                self.nm1[cb + col] = c.population - 1.0;
-                self.think[cb + col] = c.think_time_s;
-                for s in 0..stations {
-                    let idx = (j * stations + s) * kw;
-                    self.dem[idx + col] = c.demands_s[s];
-                    self.q[idx + col] = lanes[lane].q[j * stations + s];
-                }
-            }
-        }
-        kw
-    }
-
     /// One lockstep Bard–Schweitzer round over the first `kw` columns.
     /// Each column executes exactly the floating-point sequence of
     /// [`AmvaScratch::iterate`] — same class order, same station order,
@@ -752,17 +684,16 @@ impl Soa {
         }
     }
 
-    /// Load the live columns of a resident window — [`Soa::pack`] minus the
-    /// per-round costs the window already paid up front. The queue seed is
+    /// Load the live columns of a resident window. The queue seed is
     /// recomputed in place (`begin`'s population spread: it depends only on
     /// class population and demand signs, both fixed across the window's
-    /// rounds, so re-evaluating the same expression reproduces the same
+    /// solves, so re-evaluating the same expression reproduces the same
     /// bits), demands/think/populations are re-read from `problems` (they
-    /// carry the caller's per-round values), and buffers are resized
-    /// without `pack`'s zero-fill: every cell the round kernel reads is
-    /// either written here or written inside the round before its first
-    /// read (`qtot`/`r` assign-then-use, `x` stored for every live column
-    /// each round, `res` zeroed by [`Soa::round`]).
+    /// carry the caller's current values), and buffers are resized without
+    /// zero-fill: every cell the round kernel reads is either written here
+    /// or written inside the round before its first read (`qtot`/`r`
+    /// assign-then-use, `x` stored for every live column each round, `res`
+    /// zeroed by [`Soa::round`]).
     fn pack_window(
         &mut self,
         problems: &[(&[ClassDemand], usize)],
@@ -934,7 +865,7 @@ pub(crate) fn round_chunks_impl<V: LaneVec>(span: RoundSpan<'_>) {
 }
 
 impl AmvaBatch {
-    /// Empty batch; lanes are created on first [`AmvaBatch::solve`].
+    /// Empty batch; lanes are created on first [`AmvaBatch::begin_window`].
     pub fn new() -> AmvaBatch {
         AmvaBatch::default()
     }
@@ -947,188 +878,80 @@ impl AmvaBatch {
         self.backend = backend.validated();
     }
 
-    /// The vector backend the next [`AmvaBatch::solve`] will use.
+    /// The vector backend the next [`AmvaBatch::solve_window`] will use.
     pub fn simd_backend(&self) -> SimdBackend {
         self.backend
     }
 
-    /// Solve `problems[i] = (classes, stations)` in lockstep, one lane per
-    /// problem. Every lane runs to its own natural end — convergence, the
-    /// iteration budget, or a validation failure — and afterwards lane `i`
-    /// is readable through [`AmvaBatch::lane`] exactly as if
-    /// [`AmvaScratch::solve`] had run that problem alone.
-    ///
-    /// If any lane fails, the error of the lowest-indexed failing lane is
-    /// returned (deterministic, independent of convergence order); callers
-    /// abandon the whole window, matching the scalar sweep's fail-fast
-    /// semantics. The remaining lanes still hold valid scalar-identical
-    /// state.
-    pub fn solve(&mut self, problems: &[(&[ClassDemand], usize)]) -> Result<(), SimError> {
-        let k = problems.len();
-        while self.lanes.len() < k {
-            self.lanes.push(AmvaScratch::new());
-        }
-        self.done.clear();
-        self.done.resize(k, false);
-        self.residual.clear();
-        self.residual.resize(k, f64::INFINITY);
-        self.errs.clear();
-        self.errs.resize(k, None);
-
-        for (i, &(classes, stations)) in problems.iter().enumerate() {
-            if let Err(e) = self.lanes[i].begin(classes, stations) {
-                self.done[i] = true;
-                self.errs[i] = Some(e);
-            }
-        }
-
-        // Shape-uniform windows (every lane the same class × station
-        // counts — the sweep drivers' case, where lanes differ only in
-        // demands) run the lane-interleaved SoA kernel; mixed windows fall
-        // back to whole-lane rotation. Both advance every live lane by
-        // exactly one scalar-identical iteration per round.
-        let uniform = k >= 2
-            && problems
-                .windows(2)
-                .all(|w| w[0].0.len() == w[1].0.len() && w[0].1 == w[1].1);
-        if uniform {
-            let nc = problems[0].0.len();
-            let stations = problems[0].1;
-            let mut kw = self
-                .soa
-                .pack(problems, &self.lanes, &self.done, nc, stations);
-            for _round in 0..MAX_ITER {
-                if kw == 0 {
-                    break;
-                }
-                self.soa.round(kw, nc, stations, self.backend);
-                let mut col = 0;
-                while col < kw {
-                    if self.soa.res[col] < TOL {
-                        self.soa
-                            .retire(col, kw, nc, stations, &mut self.lanes, &mut self.residual);
-                        kw -= 1;
-                    } else {
-                        col += 1;
-                    }
-                }
-            }
-            // Lanes still live after MAX_ITER rounds: copy their state out
-            // with the last round's residual (convergence_err decides).
-            while kw > 0 {
-                self.soa
-                    .retire(0, kw, nc, stations, &mut self.lanes, &mut self.residual);
-                kw -= 1;
-            }
-        } else {
-            for _round in 0..MAX_ITER {
-                let mut live = false;
-                for (i, &(classes, _)) in problems.iter().enumerate() {
-                    if self.done[i] {
-                        continue;
-                    }
-                    let res = self.lanes[i].iterate(classes);
-                    self.residual[i] = res;
-                    if res < TOL {
-                        self.done[i] = true;
-                    } else {
-                        live = true;
-                    }
-                }
-                if !live {
-                    break;
-                }
-            }
-        }
-
-        for (i, &(classes, _)) in problems.iter().enumerate() {
-            if self.errs[i].is_some() {
-                continue;
-            }
-            match self.lanes[i].convergence_err(self.residual[i]) {
-                Ok(()) => self.lanes[i].finish(classes),
-                Err(e) => self.errs[i] = Some(e),
-            }
-        }
-        match self.errs.iter().flatten().next() {
-            Some(e) => Err(e.clone()),
-            None => Ok(()),
-        }
-    }
-
-    /// Lane `i`'s solver state after [`AmvaBatch::solve`] — read it with
-    /// the scalar accessors ([`AmvaScratch::throughput`],
+    /// Lane `i`'s solver state after [`AmvaBatch::solve_window`] — read it
+    /// with the scalar accessors ([`AmvaScratch::throughput`],
     /// [`AmvaScratch::queue`], [`AmvaScratch::station_util`],
     /// [`AmvaScratch::iterations`], …).
     pub fn lane(&self, i: usize) -> &AmvaScratch {
         &self.lanes[i]
     }
 
-    /// Open a *resident window* over `problems`: validate every class once,
-    /// compute the scalar queue seed once, and capture both so repeated
-    /// [`AmvaBatch::solve_window`] calls over the same window skip all of
-    /// that per-round bookkeeping.
+    /// Open a *resident window* over `problems` (one lane each, width ≥ 1):
+    /// validate every class once and size every lane, so repeated
+    /// [`AmvaBatch::solve_window`] calls over the same window skip that
+    /// per-solve bookkeeping.
     ///
-    /// Returns `Ok(true)` when the window is resident-eligible (at least
-    /// two lanes, shape-uniform — the sweep drivers' case). `Ok(false)`
-    /// means the caller should drive per-round [`AmvaBatch::solve`] calls
-    /// instead; no window is opened.
+    /// Every lane must share the first lane's class and station counts;
+    /// an empty or mixed-shape window is a typed
+    /// [`SimError::InvalidWindow`], and so is any class that fails
+    /// validation (the lowest-indexed failing lane's error). On error no
+    /// window is open.
     ///
-    /// Contract for the rounds that follow: the *shape* (class and station
-    /// counts), each class's population, and the sign of every demand must
-    /// stay fixed across `solve_window` calls — exactly what an outer
-    /// contention fixed point varies nothing but demand magnitudes and
-    /// think times. Under that contract each lane of every round is
-    /// bit-identical to a fresh scalar [`AmvaScratch::solve`] of the same
-    /// problem: the seed captured here is the seed `begin` would recompute.
-    pub fn begin_window(&mut self, problems: &[(&[ClassDemand], usize)]) -> Result<bool, SimError> {
-        self.win.shape = None;
-        let k = problems.len();
-        let uniform = k >= 2
-            && problems
-                .windows(2)
-                .all(|w| w[0].0.len() == w[1].0.len() && w[0].1 == w[1].1);
-        if !uniform {
-            return Ok(false);
+    /// Contract for the solves that follow: the *shape*, each class's
+    /// population, and the sign of every demand must stay fixed across
+    /// `solve_window` calls — exactly what an outer contention fixed point
+    /// does, varying nothing but demand magnitudes and think times. Under
+    /// that contract each lane of every solve is bit-identical to a fresh
+    /// scalar [`AmvaScratch::solve`] of the same problem.
+    pub fn begin_window(&mut self, problems: &[(&[ClassDemand], usize)]) -> Result<(), SimError> {
+        self.shape = None;
+        let Some(&(first, stations)) = problems.first() else {
+            return Err(SimError::InvalidWindow("empty window"));
+        };
+        let nc = first.len();
+        if problems
+            .iter()
+            .any(|&(classes, st)| classes.len() != nc || st != stations)
+        {
+            return Err(SimError::InvalidWindow(
+                "lanes differ in class or station count",
+            ));
         }
+        let k = problems.len();
         while self.lanes.len() < k {
             self.lanes.push(AmvaScratch::new());
         }
         self.residual.clear();
         self.residual.resize(k, f64::INFINITY);
-        self.errs.clear();
-        self.errs.resize(k, None);
-        let nc = problems[0].0.len();
-        let stations = problems[0].1;
-        // One scalar validation/sizing pass per lane for the whole window;
-        // the population-spread seed is outer-invariant too, but it lives
-        // in `pack_window` (recomputed per round, same bits) rather than
-        // being captured here.
         for (i, &(classes, st)) in problems.iter().enumerate() {
             self.lanes[i].begin_sized(classes, st)?;
         }
-        self.win.shape = Some((nc, stations, k));
-        Ok(true)
+        self.shape = Some((nc, stations, k));
+        Ok(())
     }
 
-    /// One full lockstep solve of the open resident window's `live` lanes —
-    /// semantically a fresh [`AmvaBatch::solve`] restricted to those lanes,
-    /// minus the validation, seeding and buffer zero-fill that
+    /// One full lockstep solve of the open resident window's `live` lanes,
+    /// minus the validation and buffer sizing that
     /// [`AmvaBatch::begin_window`] already paid. `problems` must be the
     /// window's full lane array (indexed by original lane id, carrying the
-    /// caller's current per-round demands/think values); `live` selects the
-    /// lanes still iterating.
+    /// caller's current demands/think values); `live` selects the lanes
+    /// still iterating.
     ///
     /// Afterwards every live lane is readable through [`AmvaBatch::lane`]
     /// exactly as if [`AmvaScratch::solve`] had run it alone. On failure
-    /// the lowest-indexed failing live lane's error is returned.
+    /// the lowest-indexed failing live lane's error is returned; the other
+    /// live lanes still hold valid scalar-identical state.
     pub fn solve_window(
         &mut self,
         problems: &[(&[ClassDemand], usize)],
         live: &[usize],
     ) -> Result<(), SimError> {
         let (nc, stations, k) = self
-            .win
             .shape
             .ok_or(SimError::Internal("solve_window without an open window"))?;
         if live.iter().any(|&l| l >= k) || problems.len() != k {
@@ -1154,28 +977,26 @@ impl AmvaBatch {
                 }
             }
         }
+        // Lanes still live after MAX_ITER rounds: copy their state out
+        // with the last round's residual (convergence_err decides).
         while kw > 0 {
             self.soa
                 .retire(0, kw, nc, stations, &mut self.lanes, &mut self.residual);
             kw -= 1;
         }
-        let mut first_err: Option<usize> = None;
+        let mut first_err: Option<(usize, SimError)> = None;
         for &i in live {
             match self.lanes[i].convergence_err(self.residual[i]) {
                 Ok(()) => self.lanes[i].finish(problems[i].0),
                 Err(e) => {
-                    self.errs[i] = Some(e);
-                    if first_err.is_none_or(|f| i < f) {
-                        first_err = Some(i);
+                    if first_err.as_ref().is_none_or(|(f, _)| i < *f) {
+                        first_err = Some((i, e));
                     }
                 }
             }
         }
         match first_err {
-            Some(i) => match &self.errs[i] {
-                Some(e) => Err(e.clone()),
-                None => Ok(()),
-            },
+            Some((_, e)) => Err(e),
             None => Ok(()),
         }
     }
@@ -1458,47 +1279,71 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn batch_lanes_are_bit_identical_to_scalar_at_every_width() {
-        let problems = batch_problem_set();
-        let mut batch = AmvaBatch::new();
-        for width in 1..=problems.len() {
-            // Reuse one batch across widths: buffer reuse may not leak
-            // state between windows, mirroring the scratch-reuse contract.
-            for window in problems.chunks(width) {
-                let probs: Vec<(&[ClassDemand], usize)> = window
-                    .iter()
-                    .map(|c| (c.as_slice(), c[0].demands_s.len()))
-                    .collect();
-                batch.solve(&probs).unwrap();
-                for (i, classes) in window.iter().enumerate() {
-                    let stations = classes[0].demands_s.len();
-                    let mut scalar = AmvaScratch::new();
-                    scalar.solve(classes, stations).unwrap();
-                    let lane = batch.lane(i);
-                    assert_eq!(lane.iterations(), scalar.iterations(), "width {width}");
-                    for j in 0..classes.len() {
-                        assert_eq!(
-                            lane.throughput()[j].to_bits(),
-                            scalar.throughput()[j].to_bits()
-                        );
-                        for s in 0..stations {
-                            assert_eq!(lane.queue(j, s).to_bits(), scalar.queue(j, s).to_bits());
-                        }
-                    }
-                    for s in 0..stations {
-                        assert_eq!(
-                            lane.station_util()[s].to_bits(),
-                            scalar.station_util()[s].to_bits()
-                        );
-                        assert_eq!(
-                            lane.station_queue()[s].to_bits(),
-                            scalar.station_queue()[s].to_bits()
-                        );
-                    }
-                }
+    /// Open a window over `probs` and solve every lane once — the
+    /// single-solve use of the resident-window API.
+    fn solve_all(batch: &mut AmvaBatch, probs: &[(&[ClassDemand], usize)]) -> Result<(), SimError> {
+        batch.begin_window(probs)?;
+        let live: Vec<usize> = (0..probs.len()).collect();
+        batch.solve_window(probs, &live)
+    }
+
+    /// Bit-compare one batch lane against a scalar solve of its problem.
+    fn assert_lane_is_scalar(lane: &AmvaScratch, classes: &[ClassDemand], stations: usize) {
+        let mut scalar = AmvaScratch::new();
+        scalar.solve(classes, stations).unwrap();
+        assert_eq!(lane.iterations(), scalar.iterations());
+        for j in 0..classes.len() {
+            assert_eq!(
+                lane.throughput()[j].to_bits(),
+                scalar.throughput()[j].to_bits()
+            );
+            for s in 0..stations {
+                assert_eq!(lane.queue(j, s).to_bits(), scalar.queue(j, s).to_bits());
             }
         }
+        for s in 0..stations {
+            assert_eq!(
+                lane.station_util()[s].to_bits(),
+                scalar.station_util()[s].to_bits()
+            );
+            assert_eq!(
+                lane.station_queue()[s].to_bits(),
+                scalar.station_queue()[s].to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn width_one_windows_are_bit_identical_to_scalar_on_every_shape() {
+        // One batch reused across shapes: buffer reuse may not leak state
+        // between windows, mirroring the scratch-reuse contract.
+        let problems = batch_problem_set();
+        let mut batch = AmvaBatch::new();
+        for classes in &problems {
+            let stations = classes[0].demands_s.len();
+            solve_all(&mut batch, &[(classes.as_slice(), stations)]).unwrap();
+            assert_lane_is_scalar(batch.lane(0), classes, stations);
+        }
+    }
+
+    #[test]
+    fn mixed_shape_and_empty_windows_are_typed_errors() {
+        let problems = batch_problem_set();
+        let mixed: Vec<(&[ClassDemand], usize)> = problems[..2]
+            .iter()
+            .map(|c| (c.as_slice(), c[0].demands_s.len()))
+            .collect();
+        let mut batch = AmvaBatch::new();
+        assert!(matches!(
+            batch.begin_window(&mixed),
+            Err(SimError::InvalidWindow(_))
+        ));
+        assert!(matches!(
+            batch.begin_window(&[]),
+            Err(SimError::InvalidWindow(_))
+        ));
+        // A rejected window leaves nothing open to solve.
+        assert!(batch.solve_window(&mixed, &[0]).is_err());
     }
 
     /// Shape-uniform family (2 classes × 3 stations throughout) so the
@@ -1551,31 +1396,9 @@ mod tests {
             for window in problems.chunks(width) {
                 let probs: Vec<(&[ClassDemand], usize)> =
                     window.iter().map(|c| (c.as_slice(), 3)).collect();
-                batch.solve(&probs).unwrap();
+                solve_all(&mut batch, &probs).unwrap();
                 for (i, classes) in window.iter().enumerate() {
-                    let mut scalar = AmvaScratch::new();
-                    scalar.solve(classes, 3).unwrap();
-                    let lane = batch.lane(i);
-                    assert_eq!(lane.iterations(), scalar.iterations(), "width {width}");
-                    for j in 0..classes.len() {
-                        assert_eq!(
-                            lane.throughput()[j].to_bits(),
-                            scalar.throughput()[j].to_bits()
-                        );
-                        for s in 0..3 {
-                            assert_eq!(lane.queue(j, s).to_bits(), scalar.queue(j, s).to_bits());
-                        }
-                    }
-                    for s in 0..3 {
-                        assert_eq!(
-                            lane.station_util()[s].to_bits(),
-                            scalar.station_util()[s].to_bits()
-                        );
-                        assert_eq!(
-                            lane.station_queue()[s].to_bits(),
-                            scalar.station_queue()[s].to_bits()
-                        );
-                    }
+                    assert_lane_is_scalar(batch.lane(i), classes, 3);
                 }
             }
         }
@@ -1596,8 +1419,8 @@ mod tests {
                 for window in problems.chunks(width) {
                     let probs: Vec<(&[ClassDemand], usize)> =
                         window.iter().map(|c| (c.as_slice(), 3)).collect();
-                    batch.solve(&probs).unwrap();
-                    scalar_batch.solve(&probs).unwrap();
+                    solve_all(&mut batch, &probs).unwrap();
+                    solve_all(&mut scalar_batch, &probs).unwrap();
                     for (i, classes) in window.iter().enumerate() {
                         let (v, s) = (batch.lane(i), scalar_batch.lane(i));
                         assert_eq!(
@@ -1619,7 +1442,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_reports_lowest_failing_lane_and_keeps_good_lanes() {
+    fn failed_window_reports_the_scalar_error_and_batch_stays_usable() {
         let good = vec![ClassDemand {
             population: 2.0,
             think_time_s: 3.0,
@@ -1632,17 +1455,17 @@ mod tests {
         }];
         let mut batch = AmvaBatch::new();
         let err = batch
-            .solve(&[(good.as_slice(), 1), (bad.as_slice(), 1)])
+            .begin_window(&[
+                (good.as_slice(), 1),
+                (bad.as_slice(), 1),
+                (bad.as_slice(), 1),
+            ])
             .unwrap_err();
         let mut scalar = AmvaScratch::new();
-        let scalar_err = scalar.solve(&bad, 1).unwrap_err();
-        assert_eq!(err, scalar_err);
-        // The good lane still finished with scalar-identical state.
-        scalar.solve(&good, 1).unwrap();
-        assert_eq!(
-            batch.lane(0).throughput()[0].to_bits(),
-            scalar.throughput()[0].to_bits()
-        );
+        assert_eq!(err, scalar.solve(&bad, 1).unwrap_err());
+        // The batch stays usable: a good window still solves scalar-exact.
+        solve_all(&mut batch, &[(good.as_slice(), 1)]).unwrap();
+        assert_lane_is_scalar(batch.lane(0), &good, 1);
     }
 
     #[test]
@@ -1683,14 +1506,14 @@ mod tests {
         for backend in [SimdBackend::Scalar, SimdBackend::detect()] {
             let mut batch = AmvaBatch::new();
             batch.set_simd_backend(backend);
-            for width in [2usize, 4, 8, 12, 16] {
+            for width in [1usize, 2, 4, 8, 12, 16] {
                 let t0 = std::time::Instant::now();
                 let mut biters = 0usize;
                 for _ in 0..reps {
                     for window in problems.chunks(width) {
                         let probs: Vec<(&[ClassDemand], usize)> =
                             window.iter().map(|p| (p.as_slice(), 3)).collect();
-                        batch.solve(&probs).unwrap();
+                        solve_all(&mut batch, &probs).unwrap();
                         for i in 0..probs.len() {
                             biters += batch.lane(i).iterations();
                         }

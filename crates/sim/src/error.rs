@@ -49,6 +49,9 @@ pub enum SimError {
         /// Inline scratch capacity.
         cap: usize,
     },
+    /// A batched AMVA window was empty, or its lanes differ in class or
+    /// station count (a resident window must be shape-uniform).
+    InvalidWindow(&'static str),
     /// An internal invariant was violated — a bug surfaced as a typed
     /// error instead of a panic, so library callers stay panic-free.
     Internal(&'static str),
@@ -85,6 +88,7 @@ impl fmt::Display for SimError {
             ),
             SimError::NoSuchNode(i) => write!(f, "no such node: {i}"),
             SimError::NoSuchJob(h) => write!(f, "no such active job: handle {h}"),
+            SimError::InvalidWindow(what) => write!(f, "invalid AMVA window: {what}"),
             SimError::Internal(what) => write!(f, "internal invariant violated: {what}"),
         }
     }
